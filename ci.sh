@@ -74,9 +74,18 @@ step cargo run -q --release -p lobster-bench --bin bench_multitenant
 
 # Crash-consistency smoke: the sampled crash-point matrix (boundary,
 # in-commit-window, torn-append, and mid-compaction crashes, resume,
-# convergence). The full 64-point sweep stays behind --ignored; run it:
-#   cargo test --release -p lobster --test crash_matrix -- --ignored
+# convergence).
 step cargo test --release -q -p lobster --test crash_matrix
+
+# The full 64-point crash sweep (the #[ignore]d half of the matrix). It
+# compacts every 200 records, so every crash site also exercises the
+# incremental snapshot encoder's frozen-row cache.
+step cargo test --release -q -p lobster --test crash_matrix -- --ignored
+
+# The benchmark's own tests (perfbench/ is a separate cargo workspace):
+# its copy of the drive loop must stay equal to ClusterSim's, so a driver
+# change that drifts from it fails here.
+step cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 # Chaos-sweep conformance: every scenarios/*.json library file plus ten
 # seeded random fault schedules, each checked against the four global

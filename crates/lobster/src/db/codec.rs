@@ -21,7 +21,7 @@ use std::io;
 use wqueue::task::{Category, DeadLetter, FailureCode, TaskId, TaskTimes};
 
 /// Record tags. A closed set: decoding an unknown tag is `InvalidData`.
-mod tag {
+pub(super) mod tag {
     pub const WORKFLOW: u8 = 1;
     pub const TASK_CREATED: u8 = 2;
     pub const TASK_RUNNING: u8 = 3;
@@ -55,7 +55,7 @@ pub(crate) fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(super) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     put_u64(buf, u64::from(v));
 }
 
@@ -67,7 +67,7 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(super) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u64(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
 }
@@ -87,17 +87,17 @@ fn put_dur(buf: &mut Vec<u8>, d: SimDuration) {
 /// Tasklet lists are claimed in ascending order, so consecutive deltas
 /// are small non-negatives; zigzag keeps the encoding total for any
 /// order all the same.
-fn put_tasklets(buf: &mut Vec<u8>, ts: &[u64]) {
+pub(super) fn put_tasklets(buf: &mut Vec<u8>, ts: impl ExactSizeIterator<Item = u64>) {
     put_u64(buf, ts.len() as u64);
     let mut prev = 0i64;
-    for &t in ts {
+    for t in ts {
         let v = t as i64;
         put_u64(buf, zigzag(v.wrapping_sub(prev)));
         prev = v;
     }
 }
 
-fn put_task(buf: &mut Vec<u8>, id: TaskId) {
+pub(super) fn put_task(buf: &mut Vec<u8>, id: TaskId) {
     put_u64(buf, id.0);
 }
 
@@ -386,7 +386,7 @@ fn get_letter(r: &mut Reader<'_>) -> io::Result<DeadLetter> {
     })
 }
 
-fn put_accounting(buf: &mut Vec<u8>, a: &Accounting) {
+pub(super) fn put_accounting(buf: &mut Vec<u8>, a: &Accounting) {
     put_f64(buf, a.cpu);
     put_f64(buf, a.io);
     put_f64(buf, a.failed);
@@ -412,7 +412,7 @@ fn get_accounting(r: &mut Reader<'_>) -> io::Result<Accounting> {
     })
 }
 
-fn put_inputs(buf: &mut Vec<u8>, inputs: &MergeInputs) {
+pub(super) fn put_inputs(buf: &mut Vec<u8>, inputs: &MergeInputs) {
     put_u64(buf, inputs.len() as u64);
     for (src, bytes) in inputs {
         put_task(buf, *src);
@@ -429,31 +429,52 @@ fn get_inputs(r: &mut Reader<'_>) -> io::Result<MergeInputs> {
     Ok(out)
 }
 
+/// One task entry of a shard snapshot.
+pub(super) fn put_task_entry(
+    buf: &mut Vec<u8>,
+    id: TaskId,
+    tasklets: &[u64],
+    state: TaskState,
+    attempts: u32,
+) {
+    put_task(buf, id);
+    put_tasklets(buf, tasklets.iter().copied());
+    put_state(buf, state);
+    put_u32(buf, attempts);
+}
+
+/// One output entry of a shard snapshot.
+pub(super) fn put_output_entry(buf: &mut Vec<u8>, task: TaskId, bytes: u64, done_seq: u64) {
+    put_task(buf, task);
+    put_u64(buf, bytes);
+    put_u64(buf, done_seq);
+}
+
+/// One dead-letter ledger entry of a shard or master snapshot.
+pub(super) fn put_ledger_entry(buf: &mut Vec<u8>, seq: u64, l: &DeadLetter) {
+    put_u64(buf, seq);
+    put_letter(buf, l);
+}
+
 fn put_shard_snap(buf: &mut Vec<u8>, s: &ShardSnap) {
     put_u32(buf, s.wf);
     put_str(buf, &s.name);
     put_u64(buf, s.total);
     put_u64(buf, s.cursor);
-    put_tasklets(buf, &s.returned);
+    put_tasklets(buf, s.returned.iter().copied());
     put_u64(buf, s.done);
     put_u64(buf, s.dead);
     put_u64(buf, s.tasks.len() as u64);
     for t in &s.tasks {
-        put_task(buf, t.id);
-        put_tasklets(buf, &t.tasklets);
-        put_state(buf, t.state);
-        put_u32(buf, t.attempts);
+        put_task_entry(buf, t.id, &t.tasklets, t.state, t.attempts);
     }
     put_u64(buf, s.outputs.len() as u64);
     for o in &s.outputs {
-        put_task(buf, o.task);
-        put_u64(buf, o.bytes);
-        put_u64(buf, o.done_seq);
+        put_output_entry(buf, o.task, o.bytes, o.done_seq);
     }
     put_u64(buf, s.dead_letters.len() as u64);
     for (seq, l) in &s.dead_letters {
-        put_u64(buf, *seq);
-        put_letter(buf, l);
+        put_ledger_entry(buf, *seq, l);
     }
 }
 
@@ -521,12 +542,11 @@ fn put_master_snap(buf: &mut Vec<u8>, m: &MasterSnap) {
         put_task(buf, *task);
         put_u32(buf, *file_ix);
     }
-    put_tasklets(buf, &m.withdrawn_outputs);
+    put_tasklets(buf, m.withdrawn_outputs.iter().copied());
     put_u64(buf, m.next_merge);
     put_u64(buf, m.dead_letters.len() as u64);
     for (seq, l) in &m.dead_letters {
-        put_u64(buf, *seq);
-        put_letter(buf, l);
+        put_ledger_entry(buf, *seq, l);
     }
     put_accounting(buf, &m.accounting);
     put_u64(buf, m.tasks_failed);
@@ -591,7 +611,7 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
             buf.push(tag::TASK_CREATED);
             put_task(buf, *id);
             put_u32(buf, *wf);
-            put_tasklets(buf, tasklets);
+            put_tasklets(buf, tasklets.iter().copied());
         }
         Record::TaskRunning { id } => {
             buf.push(tag::TASK_RUNNING);

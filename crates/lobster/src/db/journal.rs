@@ -89,6 +89,32 @@ fn read_u32_le(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
 
+/// Fill in the frame header at `at`: the length and CRC-32 of the
+/// payload that runs from the end of the frame header to the end of
+/// `buf`.
+fn seal_frame(buf: &mut [u8], at: usize) {
+    let payload_at = at + FRAME_HEADER_LEN;
+    let len = (buf.len() - payload_at) as u32;
+    let crc = crc32(&buf[payload_at..]);
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    buf[at + 4..payload_at].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Bytes of a compacted file that precede its snapshot record: the file
+/// header, the frame header and the batch count (one record).
+pub(crate) const SNAPSHOT_PREFIX_LEN: usize = HEADER_LEN + FRAME_HEADER_LEN + 1;
+
+/// An empty compacted-file image for [`Journal::compact`]: room for the
+/// file and frame headers, then the batch count of one. The caller
+/// appends one encoded snapshot record.
+pub(crate) fn snapshot_buffer(record_capacity: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(SNAPSHOT_PREFIX_LEN + record_capacity);
+    buf.resize(HEADER_LEN + FRAME_HEADER_LEN, 0);
+    codec::put_u64(&mut buf, 1);
+    debug_assert_eq!(buf.len(), SNAPSHOT_PREFIX_LEN);
+    buf
+}
+
 /// One scanned shard file: its replayable records, the byte offset of
 /// the end of the last intact frame, and how many non-snapshot records
 /// follow the last snapshot frame (the replay tail length).
@@ -356,13 +382,12 @@ impl Journal {
             if sf.buf.is_empty() {
                 continue;
             }
-            let mut payload = Vec::with_capacity(sf.buf.len() + 2);
-            codec::put_u64(&mut payload, sf.buf_records);
-            payload.extend_from_slice(&sf.buf);
-            let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
+            // 10: the longest record-count varint.
+            let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + 10 + sf.buf.len());
+            frame.resize(FRAME_HEADER_LEN, 0);
+            codec::put_u64(&mut frame, sf.buf_records);
+            frame.extend_from_slice(&sf.buf);
+            seal_frame(&mut frame, 0);
             sf.file.write_all(&frame)?;
             sf.buf.clear();
             sf.buf_records = 0;
@@ -386,27 +411,24 @@ impl Journal {
     }
 
     /// Rewrite one shard file as header + a single snapshot frame (tmp
-    /// file, fsync, atomic rename). Commits all pending buffers first:
-    /// a snapshot is a durability boundary, and the master snapshot's
-    /// state may depend on shard records that were still buffered.
-    pub fn compact(&mut self, tag: u32, snapshot: &Record) -> io::Result<()> {
+    /// file, fsync, atomic rename). `file` is a [`snapshot_buffer`] with
+    /// one encoded snapshot record appended; the header and frame header
+    /// are filled in here, so the file image is built without a copy.
+    /// Commits all pending buffers first: a snapshot is a durability
+    /// boundary, and the master snapshot's state may depend on shard
+    /// records that were still buffered.
+    pub fn compact(&mut self, tag: u32, mut file: Vec<u8>) -> io::Result<()> {
         self.commit()?;
         if !self.files.contains_key(&tag) {
             self.create_file(tag)?;
         }
-        let mut payload = Vec::new();
-        codec::put_u64(&mut payload, 1);
-        codec::encode_record(&mut payload, snapshot);
-        let mut buf = Vec::with_capacity(HEADER_LEN + FRAME_HEADER_LEN + payload.len());
-        buf.extend_from_slice(&header_bytes(tag));
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        file[..HEADER_LEN].copy_from_slice(&header_bytes(tag));
+        seal_frame(&mut file, HEADER_LEN);
         let path = self.dir.join(file_name(tag));
         let tmp = self.dir.join(format!("{}.waltmp", file_name(tag)));
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
+            f.write_all(&file)?;
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;

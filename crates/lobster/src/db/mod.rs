@@ -34,6 +34,7 @@
 
 mod codec;
 mod journal;
+mod snapshot;
 mod v2;
 
 pub use journal::journal_bytes;
@@ -66,9 +67,12 @@ const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
 /// analysis task ids (which count up from zero).
 pub const MERGE_ID_BASE: u64 = 1_000_000_000;
 
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB8_8320`) lookup table.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, polynomial `0xEDB8_8320`) slice-by-8 tables.
+/// `CRC32_TABLES[0]` is the classic bytewise table; table `k` advances a
+/// byte's contribution through `k` further zero bytes, so eight input
+/// bytes fold into the register with eight independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -81,16 +85,42 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
+/// CRC-32 of `data`, eight bytes per step (slice-by-8), the remainder
+/// bytewise. Frame writers and the replay scan both call this.
 fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -121,6 +151,16 @@ struct OutputFile {
     bytes: u64,
     /// Global finish-order sequence of the producing task's completion.
     done_seq: u64,
+}
+
+/// A merged output file.
+#[derive(Clone, Copy, Debug)]
+struct MergedFile {
+    /// Size in bytes.
+    bytes: u64,
+    /// Dense creation index, the key [`LobsterDb::merged_outputs`] uses.
+    /// Snapshots index files by the rank of the name instead.
+    id: u32,
 }
 
 /// The `(producer, bytes)` inputs of one planned merge group.
@@ -332,13 +372,14 @@ pub struct LobsterDb {
     /// Sharded replay delivers completions shard-by-shard; sorted
     /// insertion by sequence restores the global finish order.
     done_seqs: Vec<u64>,
-    merged_files: BTreeMap<String, u64>,
+    merged_files: BTreeMap<String, MergedFile>,
     /// Planned merges not yet completed, keyed by merge task id.
     merge_groups: BTreeMap<TaskId, MergeInputs>,
     /// Outputs claimed by an open merge group.
     grouped: BTreeSet<TaskId>,
-    /// Producer → merged file name, for every merged output.
-    merged_outputs: BTreeMap<TaskId, String>,
+    /// Producer → merged file ([`MergedFile::id`]), for every merged
+    /// output.
+    merged_outputs: BTreeMap<TaskId, u32>,
     /// Outputs withdrawn with a dead-lettered merge.
     withdrawn_outputs: BTreeSet<TaskId>,
     /// The ledger in dead-letter order (sequence-sorted on replay).
@@ -356,6 +397,9 @@ pub struct LobsterDb {
     /// Attempt reports replayed since the last snapshot, for the driver
     /// to rebuild monitor state on resume.
     replayed_attempts: Vec<SegmentReport>,
+    /// Per shard, the encoded terminal prefix of its rows — derived
+    /// compaction state, never journaled ([`snapshot`]).
+    frozen: Vec<snapshot::FrozenRows>,
 }
 
 impl LobsterDb {
@@ -383,6 +427,7 @@ impl LobsterDb {
             journal: None,
             snapshot_every: None,
             replayed_attempts: Vec::new(),
+            frozen: Vec::new(),
         }
     }
 
@@ -557,17 +602,15 @@ impl LobsterDb {
         if self.journal.is_none() {
             return Ok(());
         }
-        let rec = if tag == MASTER_TAG {
-            Record::MasterSnapshot {
-                state: Box::new(self.master_snap()),
-            }
+        let file = if tag == MASTER_TAG {
+            self.master_snapshot_file()
         } else {
-            Record::ShardSnapshot {
-                state: Box::new(self.shard_snap(tag)),
-            }
+            self.shard_snapshot_file(tag)
         };
+        #[cfg(any(test, debug_assertions))]
+        self.audit_snapshot(tag, &file[journal::SNAPSHOT_PREFIX_LEN..]);
         match self.journal.as_mut() {
-            Some(j) => j.compact(tag, &rec),
+            Some(j) => j.compact(tag, file),
             None => Ok(()),
         }
     }
@@ -719,11 +762,11 @@ impl LobsterDb {
                 into,
                 bytes,
             } => {
+                let file = self.insert_merged_file(into, bytes);
                 for id in &outputs {
-                    self.merged_outputs.insert(*id, into.clone());
+                    self.merged_outputs.insert(*id, file);
                     self.grouped.remove(id);
                 }
-                self.merged_files.insert(into, bytes);
                 self.counters.merges_completed += 1;
                 if let Some(t) = task {
                     self.merge_groups.remove(&t);
@@ -779,6 +822,18 @@ impl LobsterDb {
         }
     }
 
+    /// Insert (or resize) merged file `name`; returns its id. Ids are
+    /// dense in creation order.
+    fn insert_merged_file(&mut self, name: String, bytes: u64) -> u32 {
+        let next = self.merged_files.len() as u32;
+        let file = self
+            .merged_files
+            .entry(name)
+            .or_insert(MergedFile { bytes, id: next });
+        file.bytes = bytes;
+        file.id
+    }
+
     /// Sorted insert into the finish-order index. Online appends are
     /// already in order (`seq` is assigned as `done_order.len()`); only
     /// sharded replay inserts out of order.
@@ -827,7 +882,9 @@ impl LobsterDb {
         }
     }
 
-    /// The shard slice of workflow `wf` as a snapshot frame.
+    /// The shard slice of workflow `wf` as a snapshot frame — the test
+    /// oracle for [`LobsterDb::shard_snapshot_file`].
+    #[cfg(any(test, debug_assertions))]
     fn shard_snap(&self, wf: u32) -> ShardSnap {
         let entry = &self.workflows[wf as usize];
         ShardSnap {
@@ -872,21 +929,27 @@ impl LobsterDb {
         }
     }
 
-    /// The master slice as a snapshot frame.
+    /// The master slice as a snapshot frame — the test oracle for
+    /// [`LobsterDb::master_snapshot_file`].
+    #[cfg(any(test, debug_assertions))]
     fn master_snap(&self) -> MasterSnap {
         // Merged outputs name their file by index into the (sorted)
         // merged-file list instead of repeating the string.
-        let file_ix: BTreeMap<&String, u32> = self
+        let mut names = vec![""; self.merged_files.len()];
+        for (name, f) in &self.merged_files {
+            names[f.id as usize] = name;
+        }
+        let file_ix: BTreeMap<&str, u32> = self
             .merged_files
             .keys()
             .enumerate()
-            .map(|(i, k)| (k, i as u32))
+            .map(|(i, k)| (k.as_str(), i as u32))
             .collect();
         MasterSnap {
             merged_files: self
                 .merged_files
                 .iter()
-                .map(|(k, v)| (k.clone(), *v))
+                .map(|(k, f)| (k.clone(), f.bytes))
                 .collect(),
             merge_groups: self
                 .merge_groups
@@ -896,7 +959,7 @@ impl LobsterDb {
             merged_outputs: self
                 .merged_outputs
                 .iter()
-                .map(|(task, name)| (*task, file_ix[name]))
+                .map(|(task, id)| (*task, file_ix[names[*id as usize]]))
                 .collect(),
             withdrawn_outputs: self.withdrawn_outputs.iter().map(|t| t.0).collect(),
             next_merge: self.next_merge,
@@ -964,8 +1027,12 @@ impl LobsterDb {
     /// Install the master snapshot. Replays *after* every shard file
     /// (master sorts last), so the shard slices are already in place.
     fn install_master(&mut self, m: MasterSnap) {
-        let file_names: Vec<String> = m.merged_files.iter().map(|(n, _)| n.clone()).collect();
-        self.merged_files = m.merged_files.into_iter().collect();
+        self.merged_files.clear();
+        let ids: Vec<u32> = m
+            .merged_files
+            .into_iter()
+            .map(|(name, bytes)| self.insert_merged_file(name, bytes))
+            .collect();
         self.grouped = m
             .merge_groups
             .iter()
@@ -975,7 +1042,7 @@ impl LobsterDb {
         self.merged_outputs = m
             .merged_outputs
             .into_iter()
-            .map(|(task, ix)| (task, file_names[ix as usize].clone()))
+            .map(|(task, ix)| (task, ids[ix as usize]))
             .collect();
         self.withdrawn_outputs = m.withdrawn_outputs.into_iter().map(TaskId).collect();
         self.next_merge = m.next_merge;
@@ -1279,6 +1346,9 @@ impl LobsterDb {
     /// tasks the task is withdrawn and its tasklets counted dead; for
     /// merges the group is dissolved and its inputs withdrawn.
     pub fn record_dead_letter(&mut self, letter: DeadLetter) {
+        if letter.category != Category::Merge {
+            self.thaw_row(letter.task);
+        }
         let seq = self.dead_letters.len() as u64;
         self.apply_and_log(Record::DeadLettered {
             letter: Box::new(letter),
@@ -1363,7 +1433,7 @@ impl LobsterDb {
     pub fn merged_files(&self) -> Vec<(String, u64)> {
         self.merged_files
             .iter()
-            .map(|(k, v)| (k.clone(), *v))
+            .map(|(k, f)| (k.clone(), f.bytes))
             .collect()
     }
 
@@ -1751,6 +1821,55 @@ mod tests {
             units,
             at: SimTime::from_secs(900),
         }
+    }
+
+    /// CRC-32 one byte and one bit at a time, straight from the
+    /// polynomial: the reference the table-driven `crc32` must match.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_known_answer() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        // A seeded xorshift stream, so the large case is reproducible.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..(1 << 20) + 13)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        // Every short length at every alignment of the 8-byte steps.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &bytes[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_reference(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32(&bytes), crc32_reference(&bytes));
     }
 
     #[test]
