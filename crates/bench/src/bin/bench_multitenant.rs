@@ -183,8 +183,12 @@ fn main() {
             events_per_sec: events as f64 / wall_secs,
         };
         eprintln!(
-            "[{n:>3} tenants] {:>8} events in {wall_secs:>7.3}s  ({:>9.0} ev/s, jain {:.4}, {} rounds)",
-            point.events, point.events_per_sec, point.jain_fairness, point.rounds,
+            "[{n:>3} tenants] {:>8} events in {wall_secs:>7.3}s  ({:>9.0} ev/s, jain {:.4}, {} rounds, {} fanned out)",
+            point.events,
+            point.events_per_sec,
+            point.jain_fairness,
+            point.rounds,
+            report.fanned_out_rounds,
         );
         points.push(point);
     }

@@ -61,25 +61,14 @@ impl Default for CatalogConfig {
 impl ReleaseCatalog {
     /// Generate a release deterministically from `seed`.
     pub fn generate(name: impl Into<String>, cfg: CatalogConfig, seed: u64) -> Self {
-        assert!(cfg.n_files > 0, "empty catalog");
-        assert!(
-            cfg.min_file > 0 && cfg.max_file >= cfg.min_file,
-            "bad size bounds"
-        );
-        let mut rng = SimRng::new(seed);
-        let dist = LogUniform::new(cfg.min_file as f64, cfg.max_file as f64);
-        let mut files: Vec<CatalogFile> = (0..cfg.n_files)
-            .map(|i| CatalogFile {
+        let files: Vec<CatalogFile> = file_sizes(cfg, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, size)| CatalogFile {
                 name: format!("lib/file_{i:05}.so"),
-                size: dist.sample(&mut rng).round() as u64,
+                size,
             })
             .collect();
-        // Rescale to the target total.
-        let raw_total: u64 = files.iter().map(|f| f.size).sum();
-        let scale = cfg.total_bytes as f64 / raw_total as f64;
-        for f in &mut files {
-            f.size = ((f.size as f64 * scale).round() as u64).max(1);
-        }
         let total_bytes = files.iter().map(|f| f.size).sum();
         ReleaseCatalog {
             name: name.into(),
@@ -108,12 +97,18 @@ impl ReleaseCatalog {
         self.total_bytes
     }
 
-    /// Bytes a *hot* cache still transfers per task: catalog revalidation
-    /// plus the Frontier conditions payload — a small, fixed cost.
+    /// Bytes a *hot* cache still transfers per task (see
+    /// [`ReleaseFootprint::hot_bytes`]).
     pub fn hot_bytes(&self) -> u64 {
-        // ~1% of file count in metadata requests of ~4 kB plus ~8 MB of
-        // conditions data: tuned so hot setup is minutes, not hours.
-        (self.n_files() as u64 / 100) * 4 * KB + 8 * MB
+        self.footprint().hot_bytes()
+    }
+
+    /// File count and total bytes, without the file list.
+    pub fn footprint(&self) -> ReleaseFootprint {
+        ReleaseFootprint {
+            n_files: self.files.len() as u64,
+            total_bytes: self.total_bytes,
+        }
     }
 
     /// Number of HTTP requests a cold fill issues (one per file plus
@@ -125,6 +120,66 @@ impl ReleaseCatalog {
     /// Number of HTTP requests a hot task issues (revalidations).
     pub fn hot_requests(&self) -> u64 {
         (self.n_files() as u64 / 100).max(1)
+    }
+}
+
+/// The sizes of a generated release's files: log-uniform draws in file
+/// order, rescaled to the target total.
+fn file_sizes(cfg: CatalogConfig, seed: u64) -> Vec<u64> {
+    assert!(cfg.n_files > 0, "empty catalog");
+    assert!(
+        cfg.min_file > 0 && cfg.max_file >= cfg.min_file,
+        "bad size bounds"
+    );
+    let mut rng = SimRng::new(seed);
+    let dist = LogUniform::new(cfg.min_file as f64, cfg.max_file as f64);
+    let mut sizes: Vec<u64> = (0..cfg.n_files)
+        .map(|_| dist.sample(&mut rng).round() as u64)
+        .collect();
+    let raw_total: u64 = sizes.iter().sum();
+    let scale = cfg.total_bytes as f64 / raw_total as f64;
+    for size in &mut sizes {
+        *size = ((*size as f64 * scale).round() as u64).max(1);
+    }
+    sizes
+}
+
+/// What a release costs a cache — file count and total bytes — without
+/// the per-file names of a [`ReleaseCatalog`]. A master only needs
+/// these two figures, and one name string per file made building a
+/// master allocation-bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReleaseFootprint {
+    n_files: u64,
+    total_bytes: u64,
+}
+
+impl ReleaseFootprint {
+    /// The footprint of `ReleaseCatalog::generate(_, cfg, seed)`.
+    pub fn generate(cfg: CatalogConfig, seed: u64) -> Self {
+        let sizes = file_sizes(cfg, seed);
+        ReleaseFootprint {
+            n_files: sizes.len() as u64,
+            total_bytes: sizes.iter().sum(),
+        }
+    }
+
+    /// The footprint of [`ReleaseCatalog::cmssw_default`].
+    pub fn cmssw_default(seed: u64) -> Self {
+        Self::generate(CatalogConfig::default(), seed)
+    }
+
+    /// Total release size in bytes (the cold cache fill volume).
+    pub fn total_bytes(&self) -> u64 {
+        self.total_bytes
+    }
+
+    /// Bytes a *hot* cache still transfers per task: catalog revalidation
+    /// plus the Frontier conditions payload — a small, fixed cost.
+    pub fn hot_bytes(&self) -> u64 {
+        // ~1% of file count in metadata requests of ~4 kB plus ~8 MB of
+        // conditions data: tuned so hot setup is minutes, not hours.
+        (self.n_files / 100) * 4 * KB + 8 * MB
     }
 }
 
@@ -183,6 +238,33 @@ mod tests {
         assert_eq!(cat.n_files(), 100);
         let diff = cat.total_bytes().abs_diff(GB);
         assert!(diff < GB / 50);
+    }
+
+    #[test]
+    fn footprint_matches_the_generated_catalog() {
+        let tiny = CatalogConfig {
+            n_files: 100,
+            total_bytes: GB,
+            min_file: KB,
+            max_file: MB,
+        };
+        for seed in [0, 1, 7, 0xCAFE, u64::MAX] {
+            let cat = ReleaseCatalog::cmssw_default(seed);
+            let fp = ReleaseFootprint::cmssw_default(seed);
+            assert_eq!(fp, cat.footprint(), "seed {seed}");
+            assert_eq!(fp.total_bytes(), cat.total_bytes());
+            assert_eq!(fp.hot_bytes(), cat.hot_bytes());
+            assert_eq!(
+                ReleaseFootprint::generate(tiny, seed),
+                ReleaseCatalog::generate("tiny", tiny, seed).footprint()
+            );
+        }
+        // Totals the catalog generator produced before the footprint
+        // existed: a master's cold and hot fetch sizes must not move.
+        for (seed, total) in [(7, 1_499_999_973), (0xCAFE ^ 1, 1_499_999_987)] {
+            let fp = ReleaseFootprint::cmssw_default(seed);
+            assert_eq!((fp.total_bytes(), fp.hot_bytes()), (total, 8_160_000));
+        }
     }
 
     #[test]

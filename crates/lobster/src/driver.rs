@@ -26,7 +26,7 @@ use batchsim::availability::AvailabilityModel;
 use batchsim::factory::{FactoryConfig, WorkerFactory};
 use batchsim::log::{LeaveReason, WorkerLog};
 use batchsim::pool::{OpportunisticPool, PoolConfig};
-use cvmfssim::catalog::ReleaseCatalog;
+use cvmfssim::catalog::ReleaseFootprint;
 use cvmfssim::squid::{Squid, SquidConfig, TimedOut};
 use gridstore::chirp::{ChirpConfig, ChirpDown, ChirpServer};
 use gridstore::xrootd::{Federation, FederationConfig};
@@ -393,7 +393,7 @@ pub struct ClusterSim {
     fed_wake: Option<EventId>,
     fed_flows: BTreeMap<FlowId, TaskId>,
     chirp: ChirpServer,
-    catalog: ReleaseCatalog,
+    catalog: ReleaseFootprint,
     planner: MergePlanner,
     /// Finished outputs not yet claimed by any merge group, in finish
     /// order (incremental — avoids rescanning the DB per completion).
@@ -576,7 +576,7 @@ impl ClusterSim {
             .iter()
             .map(|w| AdaptiveSizer::new(params.adaptive_cfg, w.tasklets_per_task))
             .collect();
-        let catalog = ReleaseCatalog::cmssw_default(cfg.seed ^ 0xCAFE);
+        let catalog = ReleaseFootprint::cmssw_default(cfg.seed ^ 0xCAFE);
         let analysis_units: u64 = workflows.iter().map(|w| w.n_tasklets()).sum();
         let consumer = params
             .tenant_label

@@ -23,7 +23,10 @@
 //! Determinism contract: the arbiter's decisions are a pure function of
 //! the seed and the round sequence, so a same-seed multi-tenant run is
 //! byte-identical across repeats and across the in-memory / durable
-//! backends (the scenario conformance gate checks exactly this).
+//! backends (the scenario conformance gate checks exactly this) — and
+//! across worker counts: within a round the engines share nothing, so
+//! busy rounds step them on parallel worker threads (see
+//! [`MultiTenant::run`]) without changing a byte of output.
 
 use batchsim::arbiter::{ArbiterConfig, FairShareArbiter};
 use batchsim::pool::{OpportunisticPool, PoolConfig};
@@ -39,6 +42,14 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::Scope;
+
+/// A round steps its engines on worker threads only if the round before
+/// it delivered at least this many engine events, about 100 µs of
+/// handler work; below that a channel round trip costs more than it
+/// saves. Event counts are deterministic, so this rule is too.
+const FANOUT_EVENTS: u64 = 256;
 
 /// One tenant: a full Lobster master specification plus its fair share.
 #[derive(Clone, Debug)]
@@ -150,6 +161,10 @@ pub struct MultiTenantReport {
     pub crash_round: Option<u64>,
     /// The federated ops-plane snapshot (per-tenant labels, one file).
     pub federated: FederatedSnapshot,
+    /// Rounds whose engines were stepped on worker threads. Depends on
+    /// the host's core count, so it is a diagnostic only: nothing else
+    /// in the report depends on it.
+    pub fanned_out_rounds: u64,
 }
 
 /// A scheduled mid-run crash of one tenant's master.
@@ -161,12 +176,103 @@ struct CrashPlan {
     budget: u64,
 }
 
+/// A tenant's engine, boxed so handing it to a worker and back moves
+/// one pointer.
+type TenantEngine = Box<Engine<ClusterSim>>;
+
+/// One tenant's engine on its way to a worker, carrying the round
+/// deadline, and back, carrying the time of its last delivered event.
+struct Leg {
+    tenant: usize,
+    engine: TenantEngine,
+    time: SimTime,
+}
+
+impl Leg {
+    fn step(&mut self) {
+        self.time = self.engine.run_until(self.time);
+    }
+}
+
+/// The worker threads of one [`MultiTenant::run`], spawned once and fed
+/// one batch of jobs per round. Worker 0 is the calling thread itself;
+/// each spawned worker has its own channel pair, so batches come back
+/// worker by worker, never in completion order.
+struct Workers<J> {
+    lanes: Vec<Lane<J>>,
+}
+
+/// The coordinator's ends of one spawned worker's channels.
+struct Lane<J> {
+    jobs: Sender<Vec<J>>,
+    done: Receiver<Vec<J>>,
+}
+
+impl<J: Send> Workers<J> {
+    /// No spawned workers: the calling thread does every job.
+    fn serial() -> Self {
+        Workers { lanes: Vec::new() }
+    }
+
+    /// Spawn workers `1..count` on `scope`; each applies `step` to every
+    /// job of each batch it receives and sends the batch back.
+    fn spawn<'scope>(scope: &'scope Scope<'scope, '_>, count: usize, step: fn(&mut J)) -> Self
+    where
+        J: 'scope,
+    {
+        let lanes = (1..count)
+            .map(|_| {
+                let (jobs, inbox) = mpsc::channel::<Vec<J>>();
+                let (outbox, done) = mpsc::channel();
+                scope.spawn(move || {
+                    for mut batch in inbox {
+                        batch.iter_mut().for_each(step);
+                        if outbox.send(batch).is_err() {
+                            break;
+                        }
+                    }
+                });
+                Lane { jobs, done }
+            })
+            .collect();
+        Workers { lanes }
+    }
+
+    /// Worker count, the calling thread included.
+    fn count(&self) -> usize {
+        self.lanes.len() + 1
+    }
+
+    /// Hand `batches[k]` to worker `k + 1`.
+    fn send(&self, batches: Vec<Vec<J>>) -> Result<(), TenancyError> {
+        for (lane, batch) in self.lanes.iter().zip(batches) {
+            lane.jobs.send(batch).map_err(|_| worker_stopped())?;
+        }
+        Ok(())
+    }
+
+    /// Take every batch back, in worker order.
+    fn collect(&self) -> Result<Vec<Vec<J>>, TenancyError> {
+        self.lanes
+            .iter()
+            .map(|lane| lane.done.recv().map_err(|_| worker_stopped()))
+            .collect()
+    }
+}
+
+/// A worker drops its channel ends only by panicking. The error lets the
+/// coordinator leave its `thread::scope`, which joins the worker and then
+/// panics because it did, so `run()` panics rather than hangs.
+fn worker_stopped() -> TenancyError {
+    TenancyError::Invalid("a tenant worker thread stopped".to_string())
+}
+
 /// The multi-tenant coordinator: owns one engine per tenant, the shared
 /// pool walk and the arbiter, and drives everything in round-lockstep.
 pub struct MultiTenant {
     cfg: TenancyConfig,
     specs: Vec<TenantSpec>,
-    engines: Vec<Option<Engine<ClusterSim>>>,
+    engines: Vec<Option<TenantEngine>>,
     arbiter: FairShareArbiter,
     shared: OpportunisticPool,
     /// Per-tenant engine deadline. A resumed tenant's clock restarts at
@@ -184,6 +290,11 @@ pub struct MultiTenant {
     clock: SimTime,
     rounds: u64,
     crash_round: Option<u64>,
+    /// Worker count override; `None` means one per available core.
+    workers: Option<usize>,
+    /// The fan-out threshold: [`FANOUT_EVENTS`] outside tests.
+    fanout_events: u64,
+    fanned_out_rounds: u64,
 }
 
 impl MultiTenant {
@@ -285,7 +396,7 @@ impl MultiTenant {
                     journal_dir(r, i, &spec.name),
                 )?,
             };
-            let mut engine = Engine::with_kind(sim, spec.params.engine);
+            let mut engine = Box::new(Engine::with_kind(sim, spec.params.engine));
             engine.prime(SimDuration::ZERO, Ev::Start);
             arbiter.register(spec.weight);
             engines.push(Some(engine));
@@ -307,7 +418,20 @@ impl MultiTenant {
             clock: SimTime::ZERO,
             rounds: 0,
             crash_round: None,
+            workers: None,
+            fanout_events: FANOUT_EVENTS,
+            fanned_out_rounds: 0,
         })
+    }
+
+    /// Test seam: step on exactly `workers` workers (the calling thread
+    /// included) and fan out a round once the previous one delivered
+    /// `fanout_events` events.
+    #[cfg(test)]
+    pub(crate) fn with_workers(mut self, workers: usize, fanout_events: u64) -> Self {
+        self.workers = Some(workers);
+        self.fanout_events = fanout_events;
+        self
     }
 
     /// Schedule a crash: kill tenant `victim`'s master after it delivers
@@ -443,7 +567,7 @@ impl MultiTenant {
             spec.workflows.clone(),
             journal_dir(&root, victim, &spec.name),
         )?;
-        let mut engine = Engine::with_kind(sim, spec.params.engine);
+        let mut engine = Box::new(Engine::with_kind(sim, spec.params.engine));
         engine.prime(SimDuration::ZERO, Ev::Start);
         self.engines[victim] = Some(engine);
         self.target[victim] = SimTime::ZERO;
@@ -452,10 +576,21 @@ impl MultiTenant {
         Ok(())
     }
 
+    /// Engine events delivered so far, summed over live engines.
+    fn delivered(&mut self) -> u64 {
+        let mut total = 0u64;
+        for e in self.engines.iter_mut().flatten() {
+            total = total.saturating_add(e.ctx().delivered());
+        }
+        total
+    }
+
     /// One arbitration round: advance the shared owner-demand walk,
     /// allocate caps from demand and decayed usage, exchange cache
-    /// warmth, then step every engine one round in tenant-index order.
-    fn advance_round(&mut self) -> Result<(), TenancyError> {
+    /// warmth, then step every engine to the round deadline over
+    /// `workers` and crash the victim if its budget ran out. Returns the
+    /// engine events the round delivered.
+    fn advance_round(&mut self, workers: &Workers<Leg>) -> Result<u64, TenancyError> {
         let n = self.specs.len();
         self.clock += self.cfg.round;
         self.rounds += 1;
@@ -470,47 +605,116 @@ impl MultiTenant {
         let alloc = self.arbiter.allocate(available, &demands);
         self.exchange_cache_warmth();
 
-        let mut crash_now: Option<usize> = None;
         for i in 0..n {
-            self.caps[i].push(alloc.get(i).copied().unwrap_or(0));
-            let deadline = self.target[i] + self.cfg.round;
-            self.target[i] = deadline;
-            let Some(e) = &mut self.engines[i] else {
-                continue;
-            };
-            e.model_mut()
-                .set_core_cap(alloc.get(i).copied().unwrap_or(0));
-            let is_victim = matches!(self.crash, Some(c) if c.victim == i);
-            if is_victim {
-                let budget = match self.crash {
-                    Some(c) => c.budget,
-                    None => 0,
-                };
-                let before = e.ctx().delivered();
-                self.ended[i] = e.run_until_events(deadline, budget);
-                let used = e.ctx().delivered().saturating_sub(before);
-                if used >= budget {
-                    crash_now = Some(i);
-                } else if let Some(c) = &mut self.crash {
-                    c.budget -= used;
-                }
-            } else {
-                self.ended[i] = e.run_until(deadline);
+            let cap = alloc.get(i).copied().unwrap_or(0);
+            self.caps[i].push(cap);
+            self.target[i] += self.cfg.round;
+            if let Some(e) = &mut self.engines[i] {
+                e.model_mut().set_core_cap(cap);
             }
         }
+        if workers.count() > 1 {
+            self.fanned_out_rounds += 1;
+        }
+        let before = self.delivered();
+        let crash_now = self.step_engines(workers)?;
+        let events = self.delivered().saturating_sub(before);
         if let Some(victim) = crash_now {
             self.crash = None;
             self.crash_and_resume(victim)?;
         }
-        Ok(())
+        Ok(events)
+    }
+
+    /// Step tenant `i` to its round deadline on this thread. The crash
+    /// victim spends its event budget instead; returns true once that
+    /// budget is used up.
+    fn step_here(&mut self, i: usize) -> bool {
+        let deadline = self.target[i];
+        let Some(e) = &mut self.engines[i] else {
+            return false;
+        };
+        match self.crash {
+            Some(c) if c.victim == i => {
+                let before = e.ctx().delivered();
+                self.ended[i] = e.run_until_events(deadline, c.budget);
+                let used = e.ctx().delivered().saturating_sub(before);
+                if used >= c.budget {
+                    return true;
+                }
+                self.crash = Some(CrashPlan {
+                    budget: c.budget - used,
+                    ..c
+                });
+            }
+            _ => self.ended[i] = e.run_until(deadline),
+        }
+        false
+    }
+
+    /// Step every engine to its round deadline over `workers`: tenant `i`
+    /// runs on worker `i % W`, where worker 0 is this thread, so with one
+    /// worker this is the plain tenant-index loop. The crash victim always
+    /// stays on this thread, so its kill point and its `crash_and_resume`
+    /// are exactly the serial loop's. Results land by tenant index.
+    /// Returns the victim if its budget ran out.
+    fn step_engines(&mut self, workers: &Workers<Leg>) -> Result<Option<usize>, TenancyError> {
+        let w = workers.count();
+        let victim = self.crash.map(|c| c.victim);
+        let here = |i: usize| i.is_multiple_of(w) || Some(i) == victim;
+        let mut batches: Vec<Vec<Leg>> = (1..w).map(|_| Vec::new()).collect();
+        for i in (0..self.engines.len()).filter(|&i| !here(i)) {
+            if let Some(engine) = self.engines[i].take() {
+                batches[i % w - 1].push(Leg {
+                    tenant: i,
+                    engine,
+                    time: self.target[i],
+                });
+            }
+        }
+        workers.send(batches)?;
+        let mut crash_now = None;
+        for i in (0..self.engines.len()).filter(|&i| here(i)) {
+            if self.step_here(i) {
+                crash_now = Some(i);
+            }
+        }
+        for leg in workers.collect()?.into_iter().flatten() {
+            self.ended[leg.tenant] = leg.time;
+            self.engines[leg.tenant] = Some(leg.engine);
+        }
+        Ok(crash_now)
     }
 
     /// Drive rounds until every tenant finishes or exhausts its horizon,
     /// then harvest per-tenant reports, fairness and the federated
     /// snapshot.
+    ///
+    /// A round whose predecessor delivered at least [`FANOUT_EVENTS`]
+    /// engine events steps its engines on `min(cores, tenants)` workers:
+    /// threads spawned once, at the first such round, and kept for the
+    /// rest of the run. Everything else — the coordinator phase, the
+    /// crash victim, crash/resume and harvest — stays on this thread, and
+    /// the output is byte-identical for any worker count.
     pub fn run(mut self) -> Result<MultiTenantReport, TenancyError> {
-        while self.any_active() {
-            self.advance_round()?;
+        let workers = self.workers.unwrap_or_else(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            cores.min(self.specs.len())
+        });
+        let serial = Workers::serial();
+        let mut events = 0;
+        while self.any_active() && (workers < 2 || events < self.fanout_events) {
+            events = self.advance_round(&serial)?;
+        }
+        if self.any_active() {
+            std::thread::scope(|scope| {
+                let pool = Workers::spawn(scope, workers, Leg::step);
+                while self.any_active() {
+                    let fan_out = events >= self.fanout_events;
+                    events = self.advance_round(if fan_out { &pool } else { &serial })?;
+                }
+                Ok::<_, TenancyError>(())
+            })?;
         }
         let n = self.specs.len();
         let mut outcomes = Vec::with_capacity(n);
@@ -552,6 +756,7 @@ impl MultiTenant {
             rounds: self.rounds,
             crash_round: self.crash_round,
             federated: FederatedSnapshot::build(fed_tenants, jain_fairness),
+            fanned_out_rounds: self.fanned_out_rounds,
         })
     }
 }
@@ -769,6 +974,224 @@ mod tests {
         assert!(MultiTenant::new(cfg.clone(), dup).is_err());
         let neg = vec![sim_tenant("x", -1.0, 10)];
         assert!(MultiTenant::new(cfg, neg).is_err());
+    }
+
+    const SHARED_DATASET: &str = "/Shared/TTJets/AOD";
+
+    /// An analysis tenant over the one dataset every such tenant shares,
+    /// so the warmth exchange feeds each one's stage-ins.
+    fn data_tenant(name: &str, weight: f64, seed: u64) -> TenantSpec {
+        let mut cfg = LobsterConfig::default();
+        cfg.workflows = vec![WorkflowConfig::analysis("ana", SHARED_DATASET)];
+        cfg.workers.target_cores = 16;
+        cfg.workers.cores_per_worker = 4;
+        cfg.seed = seed;
+        let mut dbs = gridstore::dbs::Dbs::new();
+        dbs.generate(
+            SHARED_DATASET,
+            gridstore::dbs::DatasetSpec {
+                n_files: 120,
+                mean_file_bytes: 50_000_000,
+                events_per_lumi: 100,
+                lumis_per_file: 50,
+            },
+            3,
+        );
+        let ds = dbs.query(SHARED_DATASET).expect("dataset").clone();
+        let wf = Workflow::from_dataset(&cfg.workflows[0], &ds);
+        TenantSpec {
+            name: name.to_string(),
+            weight,
+            cfg,
+            params: SimParams::default(),
+            workflows: vec![wf],
+        }
+    }
+
+    /// Mixed weights and workloads: two analysis tenants share a dataset
+    /// (warmth exchange matters), two simulation tenants do not.
+    fn mixed_roster() -> Vec<TenantSpec> {
+        vec![
+            data_tenant("alice", 2.0, 5),
+            data_tenant("bob", 1.0, 7),
+            sim_tenant("carol", 3.0, 300),
+            sim_tenant("dave", 1.0, 500),
+        ]
+    }
+
+    /// Ten simulation tenants over a 1024-core pool: busy enough that a
+    /// round delivers more than `FANOUT_EVENTS` events. The horizon is
+    /// `hours` hours plus two rounds.
+    fn busy(hours: u64) -> MultiTenant {
+        let mut cfg = small_pool();
+        cfg.pool.total_cores = 1024;
+        cfg.horizon = SimDuration::from_hours(hours) + cfg.round + cfg.round;
+        let roster = (0..10)
+            .map(|i| sim_tenant(&format!("t{i}"), 1.0, 2000))
+            .collect();
+        MultiTenant::new(cfg, roster).expect("valid")
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tenancy-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every file under `root`, by path relative to it.
+    fn tree_bytes(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut out = BTreeMap::new();
+        let mut stack = vec![root.to_path_buf()];
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir).expect("readable dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else {
+                    let rel = path.strip_prefix(root).expect("under root").to_path_buf();
+                    out.insert(rel, std::fs::read(&path).expect("readable file"));
+                }
+            }
+        }
+        out
+    }
+
+    /// Everything a run reports that the worker count must not change.
+    fn assert_same_outcome(a: &MultiTenantReport, b: &MultiTenantReport, what: &str) {
+        assert_eq!(a.rounds, b.rounds, "{what}: rounds");
+        assert_eq!(a.crash_round, b.crash_round, "{what}: crash round");
+        assert_eq!(
+            a.jain_fairness.to_bits(),
+            b.jain_fairness.to_bits(),
+            "{what}: jain"
+        );
+        assert_eq!(a.tenants.len(), b.tenants.len(), "{what}: tenants");
+        for (x, y) in a.tenants.iter().zip(&b.tenants) {
+            assert_eq!(x.trace_digest, y.trace_digest, "{what}: {} digest", x.name);
+            assert_eq!(x.cap_history, y.cap_history, "{what}: {} caps", x.name);
+            assert_eq!(x.wan_by_dataset, y.wan_by_dataset, "{what}: {} wan", x.name);
+        }
+        assert_eq!(
+            a.federated.to_json(),
+            b.federated.to_json(),
+            "{what}: federated snapshot"
+        );
+    }
+
+    /// The worker count changes nothing: with fan-out forced on every
+    /// round, 1, 2, 3 and tenants+1 workers give byte-identical output.
+    #[test]
+    fn output_is_invariant_in_worker_count() {
+        let n = mixed_roster().len();
+        let run = |w: usize| {
+            MultiTenant::new(small_pool(), mixed_roster())
+                .expect("valid")
+                .with_workers(w, 0)
+                .run()
+                .expect("runs")
+        };
+        let serial = run(1);
+        assert_eq!(serial.fanned_out_rounds, 0);
+        assert!(
+            serial
+                .tenants
+                .iter()
+                .any(|t| t.wan_by_dataset.values().any(|&b| b > 0)),
+            "the analysis tenants must pull over the WAN"
+        );
+        for w in [2, 3, n + 1] {
+            let fanned = run(w);
+            assert_eq!(fanned.fanned_out_rounds, fanned.rounds, "{w} workers");
+            assert_same_outcome(&serial, &fanned, &format!("{w} workers"));
+        }
+    }
+
+    /// The same with a durable run whose crash victim would sit on a
+    /// spawned worker: journals, crash round and output are unchanged.
+    #[test]
+    fn durable_crash_is_invariant_in_worker_count() {
+        let n = mixed_roster().len();
+        let run = |w: usize| {
+            let root = scratch(&format!("crash-w{w}"));
+            let mut mt = MultiTenant::durable(small_pool(), mixed_roster(), &root)
+                .expect("valid")
+                .with_workers(w, 0);
+            mt.crash_tenant(1, 150).expect("durable run");
+            let rep = mt.run().expect("runs");
+            let journals = tree_bytes(&root);
+            let _ = std::fs::remove_dir_all(&root);
+            (rep, journals)
+        };
+        let (serial, serial_journals) = run(1);
+        assert!(serial.crash_round.is_some(), "the crash must fire");
+        assert!(serial_journals.len() >= n, "one journal per tenant");
+        for w in [2, 3, n + 1] {
+            let (fanned, journals) = run(w);
+            assert_same_outcome(&serial, &fanned, &format!("{w} workers"));
+            assert!(
+                journals == serial_journals,
+                "{w} workers: journal directories differ"
+            );
+        }
+    }
+
+    /// Quiet rounds stay on the coordinator thread: this roster never
+    /// delivers `FANOUT_EVENTS` events in a round.
+    #[test]
+    fn small_rosters_never_fan_out() {
+        let rep = MultiTenant::new(
+            small_pool(),
+            vec![sim_tenant("alice", 1.0, 200), sim_tenant("bob", 1.0, 200)],
+        )
+        .expect("valid")
+        .with_workers(2, FANOUT_EVENTS)
+        .run()
+        .expect("runs");
+        assert!(rep.rounds > 0);
+        assert_eq!(rep.fanned_out_rounds, 0);
+    }
+
+    /// A busy roster fans out from round 2 on (round 1 has no previous
+    /// round to measure), one worker never does, and fanning out changes
+    /// nothing.
+    #[test]
+    fn busy_rosters_fan_out_after_round_one() {
+        let serial = busy(48).with_workers(1, 0).run().expect("runs");
+        assert_eq!(serial.fanned_out_rounds, 0);
+        let fanned = busy(48).with_workers(2, FANOUT_EVENTS).run().expect("runs");
+        assert!(
+            fanned.fanned_out_rounds > 0 && fanned.fanned_out_rounds < fanned.rounds,
+            "{} of {} rounds fanned out",
+            fanned.fanned_out_rounds,
+            fanned.rounds
+        );
+        assert_same_outcome(&serial, &fanned, "busy roster");
+        // Cut after two rounds: round 1 stays serial, round 2 fans out.
+        let two = busy(0).with_workers(2, FANOUT_EVENTS).run().expect("runs");
+        assert_eq!((two.rounds, two.fanned_out_rounds), (2, 1));
+    }
+
+    /// A panic on a spawned worker surfaces as a panic of the caller, not
+    /// a hang, whichever worker it hits.
+    #[test]
+    fn worker_panic_reaches_the_caller() {
+        fn step(x: &mut u64) {
+            assert_ne!(*x, 3, "job 3 fails");
+            *x *= 10;
+        }
+        let round = |count: usize| {
+            std::thread::scope(|scope| {
+                let workers = Workers::spawn(scope, count, step);
+                let batches = (1..count).map(|k| vec![k as u64]).collect();
+                workers.send(batches)?;
+                workers.collect()
+            })
+        };
+        assert_eq!(round(3).expect("no panic"), vec![vec![10], vec![20]]);
+        for count in [4, 6] {
+            let caught = std::panic::catch_unwind(|| round(count));
+            assert!(caught.is_err(), "{count} workers: panic swallowed");
+        }
     }
 
     #[test]

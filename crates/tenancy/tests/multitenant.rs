@@ -1,6 +1,10 @@
 //! Multi-tenant integration battery (ISSUE 10): cross-tenant cache
 //! economics, durable/in-memory byte identity, and end-to-end
 //! weight-monotonicity under sustained contention.
+//!
+//! Byte identity across worker counts is tested in the crate's unit
+//! tests (`src/lib.rs`), which can reach the crate-private seam that
+//! sets the worker count and the fan-out threshold.
 
 use batchsim::arbiter::ArbiterConfig;
 use batchsim::pool::PoolConfig;
