@@ -60,10 +60,10 @@ step cargo run -q --release -p lobster --bin lobster -- \
 # the committed baseline's events/sec.
 step cargo run -q --release -p lobster-bench --bin bench_scale
 
-# Recovery bench: WAL v3 snapshot+tail vs full replay, journal bytes vs
-# the v2 JSON equivalent. Rewrites BENCH_recovery.json and fails on a
-# sub-10x journal shrink, a resume over 100 ms, a >20% resume-latency
-# regression vs the committed baseline, or any journal-size growth.
+# Recovery bench: WAL v3 snapshot+tail vs full replay. Rewrites
+# BENCH_recovery.json and fails on a resume over 100 ms, a >20%
+# resume-latency regression vs the committed baseline, or any growth of
+# either leg's journal bytes (both are exact, seeded baselines).
 step cargo run -q --release -p lobster-bench --bin bench_recovery
 
 # Multi-tenant sweep (1 -> 100 masters over one shared pool). Rewrites

@@ -1,5 +1,5 @@
-//! Recovery benchmark: full-WAL replay vs snapshot+tail, and binary v3
-//! journal bytes vs the v2 JSON equivalent.
+//! Recovery benchmark: full-WAL replay vs snapshot+tail, and the journal
+//! bytes of each.
 //!
 //! Runs the same fixed-seed cluster simulation twice behind two journal
 //! policies — `JournalPolicy::never()` (write-through; every record since
@@ -9,25 +9,21 @@
 //! legs never touch the in-memory state of the runs that wrote them.
 //!
 //! Reported sizes are honest on-disk journal bytes
-//! ([`lobster::db::journal_bytes`] sums the shard directory), plus
-//! `v2_json_bytes` — the exact size the full-replay leg's logical record
-//! stream would occupy in the v2 JSON format, priced record-by-record by
-//! [`lobster::db::v2_equivalent_bytes`]. Gates:
+//! ([`lobster::db::journal_bytes`] sums the shard directory). Gates:
 //!
 //! 1. snapshot+tail must beat full replay, and resume in < 100 ms;
-//! 2. the operating-policy journal must be ≥ 10× smaller than the v2
-//!    JSON equivalent of the same run (the ISSUE's headline criterion);
-//! 3. the v3 codec alone must buy ≥ 4× on the uncompacted stream.
+//! 2. against the committed `BENCH_recovery.json`: a >20% resume-latency
+//!    regression, or any growth of either leg's journal bytes, fails.
 //!
-//! Writes `BENCH_recovery.json`; `ci.sh` compares it against the
-//! committed baseline and fails on >20% resume-latency regression or any
-//! journal-size growth.
+//! The run is fully seeded, so both journals are byte-deterministic: the
+//! full-replay leg pins the codec and batch framing, the snapshot+tail
+//! leg adds snapshot compaction and group commit.
 
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use gridstore::dbs::{DatasetSpec, Dbs};
 use lobster::config::{Backoff, JournalPolicy, LobsterConfig, WorkflowConfig};
-use lobster::db::{journal_bytes, v2_equivalent_bytes, LobsterDb};
+use lobster::db::{journal_bytes, LobsterDb};
 use lobster::driver::{ClusterSim, SimParams};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
@@ -38,12 +34,8 @@ use std::path::PathBuf;
 const SEED: u64 = 2025;
 const SNAPSHOT_EVERY: u64 = 2048;
 const RECOVER_REPS: u32 = 5;
-/// ISSUE acceptance: snapshot+tail resume in under 100 ms.
+/// Snapshot+tail resume must finish in under 100 ms.
 const RESUME_BUDGET_SECS: f64 = 0.100;
-/// ISSUE acceptance: operating-policy journal ≥ 10× smaller than v2 JSON.
-const V2_SHRINK_FLOOR: f64 = 10.0;
-/// Codec-only floor on the uncompacted stream (no snapshot help).
-const CODEC_SHRINK_FLOOR: f64 = 4.0;
 
 #[derive(Serialize)]
 struct RecoveryLeg {
@@ -59,15 +51,6 @@ struct BenchResult {
     tasks_completed: u64,
     merges_completed: u64,
     run_wall_secs: f64,
-    /// The full-replay leg's logical record stream priced in the v2 JSON
-    /// frame format — what the same run would have written before v3.
-    v2_json_bytes: u64,
-    /// v2_json_bytes / snapshot_tail.journal_bytes: the shrink the ISSUE
-    /// gates at ≥ 10× for the operating policy.
-    v2_shrink_operating: f64,
-    /// v2_json_bytes / full_replay.journal_bytes: codec + batch framing
-    /// alone, no snapshot compaction in the denominator.
-    v2_shrink_codec_only: f64,
     full_replay: RecoveryLeg,
     snapshot_tail: RecoveryLeg,
     speedup: f64,
@@ -124,15 +107,12 @@ fn setup(journal: JournalPolicy) -> (LobsterConfig, SimParams, Vec<Workflow>) {
 fn journal_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("lobster-bench-recovery");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    // v3 journals are directories; clear both shapes from earlier runs.
     let path = dir.join(format!("{tag}-{}.wal", std::process::id()));
-    std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&path).ok();
     path
 }
 
 fn cleanup(path: &PathBuf) {
-    std::fs::remove_file(path).ok();
     std::fs::remove_dir_all(path).ok();
 }
 
@@ -153,9 +133,10 @@ fn time_recover(path: &PathBuf) -> (f64, LobsterDb) {
     (best, db.expect("at least one rep"))
 }
 
-/// Baseline (resume seconds, journal bytes) of the snapshot+tail leg
-/// from a committed BENCH_recovery.json, if one exists and parses.
-fn read_baseline(path: &str) -> Option<(f64, u64)> {
+/// Baseline (snapshot+tail resume seconds, full-replay journal bytes,
+/// snapshot+tail journal bytes) from a committed BENCH_recovery.json, if
+/// one exists and parses.
+fn read_baseline(path: &str) -> Option<(f64, u64, u64)> {
     use serde_json::Value;
     let text = std::fs::read_to_string(path).ok()?;
     let v: Value = match serde_json::from_str(&text) {
@@ -165,18 +146,18 @@ fn read_baseline(path: &str) -> Option<(f64, u64)> {
             return None;
         }
     };
-    let leg = Value::get_field(v.as_object()?, "snapshot_tail")?.as_object()?;
-    let secs = match Value::get_field(leg, "recover_secs")? {
+    let leg = |name: &str| Value::get_field(v.as_object()?, name)?.as_object();
+    let bytes = |name: &str| match Value::get_field(leg(name)?, "journal_bytes")? {
+        Value::U64(n) => Some(*n),
+        _ => None,
+    };
+    let secs = match Value::get_field(leg("snapshot_tail")?, "recover_secs")? {
         Value::F64(x) => *x,
         Value::U64(n) => *n as f64,
         Value::I64(n) => *n as f64,
         _ => return None,
     };
-    let bytes = match Value::get_field(leg, "journal_bytes")? {
-        Value::U64(n) => *n,
-        _ => return None,
-    };
-    Some((secs, bytes))
+    Some((secs, bytes("full_replay")?, bytes("snapshot_tail")?))
 }
 
 /// >20% slower resume than the committed baseline fails the gate.
@@ -226,14 +207,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Price the run's logical record stream in the v2 JSON format. The
-    // full-replay leg holds every record uncompacted, so the pricing is
-    // exactly what a v2 master would have written for this run.
-    let v2_json_bytes = v2_equivalent_bytes(&replay_path).expect("pricing pass");
     let replay_bytes = journal_bytes(&replay_path).expect("journal size");
     let snap_bytes = journal_bytes(&snap_path).expect("journal size");
-    let v2_shrink_operating = v2_json_bytes as f64 / snap_bytes.max(1) as f64;
-    let v2_shrink_codec_only = v2_json_bytes as f64 / replay_bytes.max(1) as f64;
 
     let result = BenchResult {
         seed: SEED,
@@ -242,9 +217,6 @@ fn main() {
         tasks_completed: full.tasks_completed,
         merges_completed: full.merges_completed,
         run_wall_secs,
-        v2_json_bytes,
-        v2_shrink_operating,
-        v2_shrink_codec_only,
         full_replay: RecoveryLeg {
             journal_bytes: replay_bytes,
             recover_secs: replay_secs,
@@ -276,25 +248,11 @@ fn main() {
         );
         failed = true;
     }
-    if v2_shrink_operating < V2_SHRINK_FLOOR {
-        eprintln!(
-            "bench_recovery: operating journal only {v2_shrink_operating:.1}x \
-             smaller than v2 JSON (need {V2_SHRINK_FLOOR:.0}x)"
-        );
-        failed = true;
-    }
-    if v2_shrink_codec_only < CODEC_SHRINK_FLOOR {
-        eprintln!(
-            "bench_recovery: codec-only shrink {v2_shrink_codec_only:.1}x \
-             under the {CODEC_SHRINK_FLOOR:.0}x floor"
-        );
-        failed = true;
-    }
     // Regression gate against the committed baseline (the file as it
     // stood before this run overwrote it). The run is fully seeded, so
-    // the journal is byte-deterministic: any size growth is a real
+    // the journals are byte-deterministic: any size growth is a real
     // format/policy change and fails, not just a noisy measurement.
-    if let Some((old_secs, old_bytes)) = baseline {
+    if let Some((old_secs, old_replay_bytes, old_snap_bytes)) = baseline {
         let ceiling = old_secs * (1.0 + MAX_REGRESSION);
         if snap_secs > ceiling {
             eprintln!(
@@ -304,12 +262,17 @@ fn main() {
             );
             failed = true;
         }
-        if snap_bytes > old_bytes {
-            eprintln!(
-                "bench_recovery: REGRESSION: journal grew to {snap_bytes} bytes \
-                 (baseline {old_bytes})"
-            );
-            failed = true;
+        for (leg, bytes, old_bytes) in [
+            ("full_replay", replay_bytes, old_replay_bytes),
+            ("snapshot_tail", snap_bytes, old_snap_bytes),
+        ] {
+            if bytes > old_bytes {
+                eprintln!(
+                    "bench_recovery: REGRESSION: {leg} journal grew to {bytes} bytes \
+                     (baseline {old_bytes})"
+                );
+                failed = true;
+            }
         }
     }
     if failed {

@@ -1,23 +1,18 @@
 //! WAL v3 shard files and group commit.
 //!
-//! A v3 journal is a *directory*: one `shard-NNNN.wal` per registered
-//! workflow plus `master.wal` for cross-workflow state (merges, attempt
-//! accounting, backoffs). Each file keeps the v2 physical discipline —
-//! 16-byte `LBSTRWAL` header, `len + CRC-32` frames, torn-tail drop on
-//! the final frame, hard `InvalidData` anywhere earlier — but the header
-//! version is 3, the flags word names the shard, and a frame payload is
-//! a *batch*: a record-count varint followed by that many binary-coded
-//! records ([`super::codec`]).
+//! The directory layout and the byte format of a shard file are set out
+//! in the [`super`] module docs. This module scans the files, attaches
+//! the append handles, buffers commit groups and writes compactions.
 //!
 //! # Group commit
 //!
 //! Appends buffer in memory per file and reach disk together at a
 //! *commit boundary*: when buffered records/bytes cross the
 //! `JournalPolicy` thresholds, on snapshot compaction, at a simulated
-//! crash point, and on drop. One batch is one frame, so the torn-tail
-//! rule classifies a mid-commit crash exactly as v2 classified a
-//! mid-append crash: the final (partial) frame — the whole commit group
-//! on that file — is dropped.
+//! crash point, and on drop. One batch is one frame, so a crash mid-commit
+//! leaves at most a torn final frame in the file being written. Replay
+//! drops that frame — the whole commit group on that file — and treats a
+//! bad frame anywhere earlier as hard `InvalidData`.
 //!
 //! # Causal flush order
 //!
@@ -58,7 +53,7 @@ fn invalid(msg: String) -> io::Error {
 }
 
 /// `master.wal` / `shard-0007.wal`.
-fn file_name(tag: u32) -> String {
+pub(super) fn file_name(tag: u32) -> String {
     if tag == MASTER_TAG {
         "master.wal".to_string()
     } else {
@@ -144,7 +139,7 @@ pub(crate) fn scan_dir(dir: &Path) -> io::Result<Vec<ScannedFile>> {
     Ok(out)
 }
 
-/// Torn-tail frame walk of one shard file (v2 semantics at v3 framing).
+/// Torn-tail frame walk of one shard file.
 fn scan_file(path: &Path, tag: u32) -> io::Result<ScannedFile> {
     let buf = fs::read(path)?;
     let canonical = header_bytes(tag);
@@ -440,15 +435,6 @@ impl Journal {
         Ok(())
     }
 
-    /// Re-point the journal at `dir` after the directory itself was
-    /// renamed (the v2→v3 migration builds the shard directory under a
-    /// tmp name and renames it into place; the open file handles stay
-    /// valid across the rename, only the path for future shard/compact
-    /// files moves).
-    pub fn rehome(&mut self, dir: PathBuf) {
-        self.dir = dir;
-    }
-
     /// Records appended to `tag` since its last snapshot frame
     /// (including any still buffered).
     pub fn tail_records(&self, tag: u32) -> u64 {
@@ -467,13 +453,8 @@ impl Journal {
     }
 }
 
-/// Total on-disk size of a journal: the file itself (v2), or the sum of
-/// shard files (v3 directory).
+/// Total on-disk size of a journal: the sum of its shard files.
 pub fn journal_bytes(path: &Path) -> io::Result<u64> {
-    let meta = fs::metadata(path)?;
-    if meta.is_file() {
-        return Ok(meta.len());
-    }
     let mut total = 0;
     for entry in fs::read_dir(path)? {
         let entry = entry?;

@@ -16,26 +16,23 @@
 //! The journal path is a *directory*: one `shard-NNNN.wal` per registered
 //! workflow plus `master.wal` for cross-workflow state (merges, attempt
 //! accounting, backoffs, the merge side of the dead-letter ledger). Each
-//! file keeps the v2 physical discipline — 16-byte `LBSTRWAL` header
-//! (magic, `u32` LE version, `u32` LE shard tag), `u32` LE length +
-//! `u32` LE CRC-32 frames, torn-tail drop on the final frame, hard
-//! [`io::ErrorKind::InvalidData`] anywhere earlier — but the payload is a
-//! *batch* of binary-coded records ([`codec`]), not one JSON object.
-//! Appends buffer in a group-commit window ([`journal`]) and reach disk
-//! together: flush happens when the `JournalPolicy` record/byte
-//! thresholds are crossed, on snapshot compaction, at [`LobsterDb::flush`]
-//! (the driver's crash-point boundary), and on drop. Compaction is
+//! file is a 16-byte `LBSTRWAL` header (magic, `u32` LE version 3, `u32`
+//! LE shard tag) followed by `u32` LE length + `u32` LE CRC-32 frames; a
+//! frame payload is a *batch*: a record-count varint followed by that
+//! many binary-coded records ([`codec`]). Group commit, the causal flush
+//! order and the torn-tail rule live in [`journal`]. Compaction is
 //! per-file: a shard compacts into one [`Record::ShardSnapshot`] frame,
-//! `master.wal` into one [`Record::MasterSnapshot`] frame.
+//! `master.wal` into one [`Record::MasterSnapshot`] frame ([`snapshot`]).
 //!
-//! v2 journals (single JSON-framed file) are still readable: opening one
-//! replays it and migrates it in place into a v3 directory ([`v2`]); v1
-//! and unknown versions are rejected as before. See `docs/recovery.md`.
+//! Recovery is total. A missing path is an empty journal and a directory
+//! is replayed; anything else, a regular file of any earlier or unknown
+//! format included, is [`io::ErrorKind::InvalidData`]. So is a CRC-valid
+//! record that contradicts the state replayed before it. See
+//! `docs/recovery.md`.
 
 mod codec;
 mod journal;
 mod snapshot;
-mod v2;
 
 pub use journal::journal_bytes;
 
@@ -43,20 +40,19 @@ use crate::config::JournalPolicy;
 use crate::monitor::Accounting;
 use crate::wrapper::SegmentReport;
 use journal::{GroupCommit, Journal, ScannedFile, MASTER_TAG};
-use serde::{Deserialize, Serialize};
 use simkit::time::SimDuration;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use wqueue::task::{Category, DeadLetter, TaskId};
 
 /// Journal magic bytes.
 const MAGIC: &[u8; 8] = b"LBSTRWAL";
 /// Journal format version written by this build.
 pub const FORMAT_VERSION: u32 = journal::V3_VERSION;
-/// Header: magic + version + shard tag (flags in v2).
+/// Header: magic + version + shard tag.
 const HEADER_LEN: usize = 16;
 /// Frame header: payload length + CRC-32.
 const FRAME_HEADER_LEN: usize = 8;
@@ -126,7 +122,7 @@ fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Lifecycle of a task in the DB.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TaskState {
     /// Created, not yet dispatched.
     Ready,
@@ -194,7 +190,7 @@ impl std::error::Error for RejectedTransition {}
 /// `tasks_completed` is derived (one per done output) rather than
 /// snapshotted: the master snapshot carries only the master-slice
 /// counters, completions belong to the shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Analysis tasks that finished successfully.
     pub tasks_completed: u64,
@@ -304,6 +300,7 @@ pub(crate) struct ShardSnap {
 /// `master.wal` snapshot frame: the cross-workflow slice — merge state,
 /// accounting, and the master-side counters.
 #[derive(Clone, Debug, PartialEq)]
+#[cfg_attr(test, derive(Default))]
 pub(crate) struct MasterSnap {
     pub merged_files: Vec<(String, u64)>,
     pub merge_groups: Vec<(TaskId, MergeInputs)>,
@@ -440,35 +437,22 @@ impl LobsterDb {
 
     /// DB journaled at `path` under `policy`: group-commit record/byte
     /// thresholds plus optional per-file auto-compaction. `path` is a v3
-    /// shard directory; a v2 single-file journal found there is replayed
-    /// and migrated in place. Any torn tail left by a crash is truncated
-    /// (before the append handle opens) so the next commit starts at a
-    /// frame boundary.
+    /// shard directory, created if missing. Any torn tail left by a crash
+    /// is truncated (before the append handle opens) so the next commit
+    /// starts at a frame boundary.
     pub fn open_with_policy(path: impl AsRef<Path>, policy: &JournalPolicy) -> io::Result<Self> {
         let path = path.as_ref();
         let group = GroupCommit {
             records: policy.group_commit_records.max(1),
             bytes: policy.group_commit_bytes.max(1),
         };
-        let tmp = migrate_tmp_path(path);
-        let mut db = match fs::metadata(path) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                if tmp.is_dir() {
-                    // A v2→v3 migration crashed after removing the v2
-                    // file but before renaming the finished directory
-                    // into place; the tmp directory is complete.
-                    fs::rename(&tmp, path)?;
-                    Self::open_scanned(path, group)?
-                } else {
-                    let mut db = Self::in_memory();
-                    db.journal = Some(Journal::create(path, group)?);
-                    db
-                }
-            }
-            Err(e) => return Err(e),
-            Ok(m) if m.is_file() => Self::migrate_v2(path, &tmp, group)?,
-            Ok(_) => Self::open_scanned(path, group)?,
-        };
+        let mut db = Self::in_memory();
+        if journal_dir_exists(path)? {
+            let scans = replay_scans(&mut db, path, journal::scan_dir(path)?)?;
+            db.journal = Some(Journal::attach(path, &scans, group)?);
+        } else {
+            db.journal = Some(Journal::create(path, group)?);
+        }
         db.snapshot_every = policy.snapshot_every_records;
         if let Some(n) = policy.snapshot_every_records {
             // A crash can land after the record that crosses the
@@ -489,95 +473,14 @@ impl LobsterDb {
         Ok(db)
     }
 
-    /// Replay + attach an existing v3 shard directory.
-    fn open_scanned(path: &Path, group: GroupCommit) -> io::Result<Self> {
-        let scans = journal::scan_dir(path)?;
-        let mut db = Self::in_memory();
-        let scans = replay_scans(&mut db, scans);
-        db.audit_cross_shard(path)?;
-        db.journal = Some(Journal::attach(path, &scans, group)?);
-        Ok(db)
-    }
-
-    /// Cross-shard causality audit after a sharded replay. The commit
-    /// protocol writes shards before `master.wal`, so master records can
-    /// only depend on shard records that are already durable; a master
-    /// record referencing a task output no shard delivered means a shard
-    /// file lost fsynced history (truncated beyond its torn tail,
-    /// restored from an older copy, …) — refuse to limp onward.
-    fn audit_cross_shard(&self, path: &Path) -> io::Result<()> {
-        for (gid, inputs) in &self.merge_groups {
-            for (src, _) in inputs {
-                if self.output_row(*src).is_none() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "journal causality violation in {path:?}: merge group \
-                             {gid:?} references the output of task {src:?}, but no \
-                             shard holds its TaskDone — a shard file has lost \
-                             fsynced history"
-                        ),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Replay a v2 single-file journal and rebuild it as a v3 shard
-    /// directory: the directory is assembled under a tmp name (one
-    /// snapshot frame per shard + master), then the v2 file is removed
-    /// and the directory renamed into place. A crash anywhere in between
-    /// leaves either the intact v2 file (migration redone) or the
-    /// complete tmp directory (rename finished by the next open).
-    fn migrate_v2(path: &Path, tmp: &Path, group: GroupCommit) -> io::Result<Self> {
-        let buf = fs::read(path)?;
-        let (recs, _) = v2::read_v2_file(&buf, MAX_RECORD_LEN)?;
-        let mut db = Self::in_memory();
-        replay_v2(&mut db, recs);
-        if tmp.exists() {
-            fs::remove_dir_all(tmp)?;
-        }
-        db.journal = Some(Journal::create(tmp, group)?);
-        for wf in 0..db.workflows.len() {
-            db.compact_file(wf as u32)?;
-        }
-        db.compact_file(MASTER_TAG)?;
-        fs::remove_file(path)?;
-        fs::rename(tmp, path)?;
-        if let Some(j) = db.journal.as_mut() {
-            j.rehome(path.to_path_buf());
-        }
-        Ok(db)
-    }
-
     /// Rebuild state by replaying the journal at `path` (missing →
-    /// empty DB) — read-only: nothing is truncated, migrated, or
-    /// created. Handles both a v3 shard directory and a v2 file; use
+    /// empty DB) — read-only: nothing is truncated or created. Use
     /// [`LobsterDb::open`] to attach.
     pub fn recover(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref();
         let mut db = Self::in_memory();
-        let real = if path.exists() {
-            path.to_path_buf()
-        } else {
-            // An orphaned migration directory is the complete journal
-            // (the v2 file was already removed).
-            let tmp = migrate_tmp_path(path);
-            if tmp.is_dir() {
-                tmp
-            } else {
-                return Ok(db);
-            }
-        };
-        if fs::metadata(&real)?.is_file() {
-            let buf = fs::read(&real)?;
-            let (recs, _) = v2::read_v2_file(&buf, MAX_RECORD_LEN)?;
-            replay_v2(&mut db, recs);
-        } else {
-            let scans = journal::scan_dir(&real)?;
-            replay_scans(&mut db, scans);
-            db.audit_cross_shard(&real)?;
+        if journal_dir_exists(path)? {
+            replay_scans(&mut db, path, journal::scan_dir(path)?)?;
         }
         Ok(db)
     }
@@ -681,19 +584,14 @@ impl LobsterDb {
 
     fn apply(&mut self, rec: Record) {
         match rec {
-            Record::Workflow { wf, name, tasklets } => {
+            Record::Workflow { name, tasklets, .. } => {
+                // Indices are dense: `register_workflow` journals the next
+                // one, and replay checks that every record does.
                 let state = WorkflowState {
                     total_tasklets: tasklets,
                     ..WorkflowState::default()
                 };
-                let ix = wf as usize;
-                if ix < self.workflows.len() {
-                    self.workflows[ix] = WorkflowEntry { name, state };
-                } else {
-                    // Indices are journaled densely; shard files replay
-                    // in ascending order, so `ix == len` here.
-                    self.workflows.push(WorkflowEntry { name, state });
-                }
+                self.workflows.push(WorkflowEntry { name, state });
             }
             Record::TaskCreated { id, wf, tasklets } => {
                 let wfe = &mut self.workflows[wf as usize].state;
@@ -990,12 +888,7 @@ impl LobsterDb {
                 dead: s.dead,
             },
         };
-        let ix = s.wf as usize;
-        if ix < self.workflows.len() {
-            self.workflows[ix] = entry;
-        } else {
-            self.workflows.push(entry);
-        }
+        self.workflows.push(entry);
         for t in s.tasks {
             self.next_task = self.next_task.max(t.id.0 + 1);
             self.insert_task_row(
@@ -1488,20 +1381,64 @@ impl Drop for LobsterDb {
     }
 }
 
-/// `<journal>.walmigrate`, the tmp directory a v2→v3 migration builds
-/// before renaming it into place.
-fn migrate_tmp_path(path: &Path) -> PathBuf {
-    path.with_extension("walmigrate")
+/// Whether a journal exists at `path`: `false` when nothing is there,
+/// `true` for a directory. Anything else (a regular file of any format
+/// included) is `InvalidData`, and is left untouched.
+fn journal_dir_exists(path: &Path) -> io::Result<bool> {
+    match fs::metadata(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+        Ok(m) if m.is_dir() => Ok(true),
+        Ok(_) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("journal path {path:?} is not a WAL v3 shard directory"),
+        )),
+    }
 }
+
+/// Task ids a journal may leave unused below its highest id, on top of
+/// two per task row it holds. Ids are handed out densely, but a commit
+/// torn between two shard files keeps the new tasks of the first and
+/// loses those of the second, so each such crash can open a gap. The
+/// bound stops a corrupt id from sizing the task table far past the
+/// journal's own scale.
+const TASK_ID_SLACK: u64 = 1 << 16;
 
 /// Replay scanned v3 shard files into `db` — shards in ascending index
 /// order, master last (the order [`journal::scan_dir`] returns). A free
 /// function rather than a method: replay re-enters `apply` with already-
 /// journaled records, deliberately outside the journaled-write call graph.
-/// Returns the scans (records drained) for [`Journal::attach`].
-fn replay_scans(db: &mut LobsterDb, mut scans: Vec<ScannedFile>) -> Vec<ScannedFile> {
+/// `apply` trusts its input, so each record is checked against the state
+/// replayed before it ([`check_replayed`]); a CRC-valid record that
+/// contradicts that state is `InvalidData`. Returns the scans (records
+/// drained) for [`Journal::attach`].
+fn replay_scans(
+    db: &mut LobsterDb,
+    path: &Path,
+    mut scans: Vec<ScannedFile>,
+) -> io::Result<Vec<ScannedFile>> {
+    let rows: u64 = scans
+        .iter()
+        .flat_map(|scan| &scan.records)
+        .map(|rec| match rec {
+            Record::TaskCreated { .. } => 1,
+            Record::ShardSnapshot { state } => state.tasks.len() as u64,
+            _ => 0,
+        })
+        .sum();
+    let id_bound = rows
+        .saturating_mul(2)
+        .saturating_add(TASK_ID_SLACK)
+        .min(MERGE_ID_BASE);
     for scan in &mut scans {
-        for rec in std::mem::take(&mut scan.records) {
+        for (i, rec) in std::mem::take(&mut scan.records).into_iter().enumerate() {
+            if let Err(why) = check_replayed(db, scan.tag, &rec, id_bound) {
+                let file = path.join(journal::file_name(scan.tag));
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("record {i} of {file:?}: {why}"),
+                ));
+            }
             if matches!(rec, Record::MasterSnapshot { .. }) {
                 // Attempts live in master.wal; everything before its
                 // snapshot is folded in, not replayed.
@@ -1513,234 +1450,149 @@ fn replay_scans(db: &mut LobsterDb, mut scans: Vec<ScannedFile>) -> Vec<ScannedF
             db.apply(rec);
         }
     }
-    scans
+    Ok(scans)
 }
 
-/// Replay a v2 (JSON single-file) record stream into `db`. Free function
-/// for the same reason as [`replay_scans`].
-fn replay_v2(db: &mut LobsterDb, recs: Vec<v2::V2Record>) {
-    for rec in recs {
-        match rec {
-            v2::V2Record::Snapshot { state } => {
-                // v2 snapshots are whole-state images: reset and install
-                // as one shard frame per workflow plus the master frame.
-                *db = LobsterDb::in_memory();
-                let (shards, master) = convert_v2_snapshot(*state);
-                for s in shards {
-                    db.apply(Record::ShardSnapshot { state: Box::new(s) });
-                }
-                db.apply(Record::MasterSnapshot {
-                    state: Box::new(master),
-                });
-                db.replayed_attempts.clear();
-            }
-            v2::V2Record::Attempt { report } => {
-                db.replayed_attempts.push((*report).clone());
-                db.apply(Record::Attempt { report });
-            }
-            other => {
-                let rec = v2_to_v3(db, other);
-                db.apply(rec);
-            }
-        }
-    }
-}
-
-/// Upgrade one v2 transition record to its v3 shape, resolving workflow
-/// names to indices and assigning the sequence numbers v3 journals carry
-/// explicitly (v2 replay was single-file, so arrival order *was* the
-/// sequence).
-fn v2_to_v3(db: &LobsterDb, rec: v2::V2Record) -> Record {
-    match rec {
-        v2::V2Record::Workflow { name, tasklets } => Record::Workflow {
-            wf: db.wf_index(&name).unwrap_or(db.workflows.len()) as u32,
-            name,
-            tasklets,
-        },
-        v2::V2Record::TaskCreated {
-            id,
-            workflow,
-            tasklets,
-        } => Record::TaskCreated {
-            id,
-            // simlint::allow(no-panic-in-lib): v2 journals are self-consistent — TaskCreated follows its Workflow record
-            wf: db.wf_index(&workflow).expect("workflow registered") as u32,
-            tasklets,
-        },
-        v2::V2Record::TaskRunning { id } => Record::TaskRunning { id },
-        v2::V2Record::TaskDone { id, output_bytes } => Record::TaskDone {
-            id,
-            output_bytes,
-            done_seq: db.done_order.len() as u64,
-        },
-        v2::V2Record::TaskLost { id } => Record::TaskLost { id },
-        v2::V2Record::MergeCreated { id, inputs } => Record::MergeCreated { id, inputs },
-        v2::V2Record::Merged {
-            task,
-            outputs,
-            into,
-            bytes,
-        } => Record::Merged {
-            task,
-            outputs,
-            into,
-            bytes,
-        },
-        v2::V2Record::Backoff { wait } => Record::Backoff { wait },
-        v2::V2Record::DeadLettered { letter } => Record::DeadLettered {
-            letter,
-            seq: db.dead_letters.len() as u64,
-        },
-        // Handled by the caller before dispatching here.
-        v2::V2Record::Attempt { report } => Record::Attempt { report },
-        v2::V2Record::Snapshot { .. } => unreachable!("snapshots handled in replay_v2"),
-    }
-}
-
-/// Split a v2 monolithic snapshot into per-workflow shard frames plus
-/// the master frame.
-fn convert_v2_snapshot(s: v2::V2SnapshotState) -> (Vec<ShardSnap>, MasterSnap) {
-    let wf_ix: BTreeMap<&str, u32> = s
-        .workflows
-        .iter()
-        .enumerate()
-        .map(|(i, w)| (w.name.as_str(), i as u32))
-        .collect();
-    let task_wf: BTreeMap<TaskId, u32> = s
-        .tasks
-        .iter()
-        .map(|t| (t.id, wf_ix[t.workflow.as_str()]))
-        .collect();
-    let done_seq: BTreeMap<TaskId, u64> = s
-        .done_order
-        .iter()
-        .enumerate()
-        .map(|(i, id)| (*id, i as u64))
-        .collect();
-    let file_ix: BTreeMap<&str, u32> = s
-        .merged_files
-        .iter()
-        .enumerate()
-        .map(|(i, (n, _))| (n.as_str(), i as u32))
-        .collect();
-    let shard_of = |l: &DeadLetter| {
-        if l.category == Category::Merge {
-            MASTER_TAG
+/// Why `rec`, read from shard file `tag`, contradicts the state replayed
+/// before it. These are the invariants `apply` relies on: workflows
+/// register in index order, every referenced workflow, task row and
+/// output row exists, a transition starts from a state its writer allows,
+/// a new task id is unused and inside the journal's range (`id_bound`), no
+/// counter overflows, and the record sits in the file [`LobsterDb::route`]
+/// sends it to.
+fn check_replayed(db: &LobsterDb, tag: u32, rec: &Record, id_bound: u64) -> Result<(), String> {
+    let workflow = |wf: u32| {
+        db.workflows
+            .get(wf as usize)
+            .map(|w| &w.state)
+            .ok_or_else(|| format!("unknown workflow index {wf}"))
+    };
+    let next_workflow = |wf: u32| {
+        let next = db.workflows.len();
+        if wf as usize == next {
+            Ok(())
         } else {
-            task_wf.get(&l.task).copied().unwrap_or(MASTER_TAG)
+            Err(format!(
+                "workflow index {wf} registered where {next} is next"
+            ))
         }
     };
-    let shards = s
-        .workflows
+    let row_in = |id: TaskId, from: &[TaskState]| match db.task_row(id) {
+        Some(t) if from.contains(&t.state) => Ok(t),
+        Some(t) => Err(format!("{id} cannot leave {:?} this way", t.state)),
+        None => Err(format!("{id} has no task row")),
+    };
+    let new_row = |id: TaskId| {
+        if id.0 >= id_bound {
+            Err(format!(
+                "task id {} outside the journal's range (< {id_bound})",
+                id.0
+            ))
+        } else if db.task_row(id).is_some() {
+            Err(format!("{id} created twice"))
+        } else {
+            Ok(())
+        }
+    };
+    let room = |n: u64, by: u64, what: &str| match n.checked_add(by) {
+        Some(_) => Ok(()),
+        None => Err(format!("{what} overflows")),
+    };
+    // The commit protocol writes shards before `master.wal`, so a master
+    // record only ever references outputs that are already durable.
+    let causal = |gid: TaskId, inputs: &MergeInputs| match inputs
         .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let wf = i as u32;
-            ShardSnap {
-                wf,
-                name: w.name.clone(),
-                total: w.total,
-                cursor: w.cursor,
-                returned: w.returned.clone(),
-                done: w.done,
-                dead: w.dead,
-                tasks: s
-                    .tasks
-                    .iter()
-                    .filter(|t| task_wf[&t.id] == wf)
-                    .map(|t| TaskSnap {
-                        id: t.id,
-                        tasklets: t.tasklets.clone(),
-                        state: t.state,
-                        attempts: t.attempts,
-                    })
-                    .collect(),
-                outputs: s
-                    .outputs
-                    .iter()
-                    .filter(|o| task_wf.get(&o.task) == Some(&wf))
-                    .map(|o| OutputSnap {
-                        task: o.task,
-                        bytes: o.bytes,
-                        done_seq: done_seq.get(&o.task).copied().unwrap_or(0),
-                    })
-                    .collect(),
-                dead_letters: s
-                    .dead_letters
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| shard_of(l) == wf)
-                    .map(|(seq, l)| (seq as u64, *l))
-                    .collect(),
-            }
-        })
-        .collect();
-    let master = MasterSnap {
-        merged_files: s.merged_files.clone(),
-        merge_groups: s.merge_groups,
-        merged_outputs: s
-            .outputs
-            .iter()
-            .filter_map(|o| {
-                o.merged_into
-                    .as_deref()
-                    .and_then(|n| file_ix.get(n))
-                    .map(|ix| (o.task, *ix))
-            })
-            .collect(),
-        withdrawn_outputs: s
-            .outputs
-            .iter()
-            .filter(|o| o.withdrawn)
-            .map(|o| o.task.0)
-            .collect(),
-        next_merge: s.next_merge,
-        dead_letters: s
-            .dead_letters
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| shard_of(l) == MASTER_TAG)
-            .map(|(seq, l)| (seq as u64, *l))
-            .collect(),
-        accounting: s.accounting,
-        tasks_failed: s.counters.tasks_failed,
-        evictions: s.counters.evictions,
-        merges_completed: s.counters.merges_completed,
+        .find(|(src, _)| db.output_row(*src).is_none())
+    {
+        None => Ok(()),
+        Some((src, _)) => Err(format!(
+            "journal causality violation: merge group {gid:?} references the \
+             output of task {src:?}, but no shard holds its TaskDone — a shard \
+             file has lost fsynced history"
+        )),
     };
-    (shards, master)
-}
-
-/// The size the journal at `path` would occupy as v2 JSON frames — the
-/// machine-checked baseline for the ≥10× size target in
-/// `bench_recovery`. Transition records price 1:1 (workflow indices
-/// resolve back to the names v2 repeated per record); snapshot frames
-/// are skipped, so compare uncompacted journals.
-pub fn v2_equivalent_bytes(path: impl AsRef<Path>) -> io::Result<u64> {
-    let scans = journal::scan_dir(path.as_ref())?;
-    let mut names: Vec<String> = Vec::new();
-    for scan in &scans {
-        for rec in &scan.records {
-            let (wf, name) = match rec {
-                Record::Workflow { wf, name, .. } => (*wf, name.as_str()),
-                Record::ShardSnapshot { state } => (state.wf, state.name.as_str()),
-                _ => continue,
-            };
-            let ix = wf as usize;
-            if names.len() <= ix {
-                names.resize(ix + 1, String::new());
-            }
-            names[ix] = name.to_string();
-        }
-    }
-    let mut total = HEADER_LEN as u64;
-    for scan in &scans {
-        for rec in &scan.records {
-            if let Some(v) = v2::v2_equivalent(rec, &names) {
-                total += v2::encode_v2_frame(&v).len() as u64;
+    let live = [TaskState::Ready, TaskState::Running];
+    match rec {
+        Record::Workflow { wf, .. } => next_workflow(*wf)?,
+        Record::TaskCreated { id, wf, tasklets } => {
+            let total = workflow(*wf)?.total_tasklets;
+            new_row(*id)?;
+            if let Some(t) = tasklets.iter().find(|&&t| t >= total) {
+                return Err(format!("tasklet {t} outside workflow {wf}'s {total}"));
             }
         }
+        Record::TaskRunning { id } => {
+            if row_in(*id, &live)?.attempts == u32::MAX {
+                return Err(format!("{id} attempt count overflows"));
+            }
+        }
+        Record::TaskDone { id, .. } => {
+            let t = row_in(*id, &[TaskState::Running])?;
+            let done = db.workflows[t.wf as usize].state.done;
+            room(done, t.tasklets.len() as u64, "done tasklet count")?;
+        }
+        Record::TaskLost { id } => {
+            row_in(*id, &live)?;
+        }
+        Record::MergeCreated { id, inputs } => {
+            if id.0 < MERGE_ID_BASE {
+                return Err(format!("merge id {} below {MERGE_ID_BASE}", id.0));
+            }
+            causal(*id, inputs)?;
+        }
+        Record::Merged { outputs, .. } => {
+            room(db.counters.merges_completed, 1, "merge count")?;
+            if let Some(o) = outputs.iter().find(|o| db.output_row(**o).is_none()) {
+                return Err(format!("merged output of {o} has no output row"));
+            }
+        }
+        Record::Attempt { .. } => {
+            room(db.counters.tasks_failed, 1, "failure count")?;
+            room(db.counters.evictions, 1, "eviction count")?;
+            room(db.accounting.retries, 1, "retry count")?;
+            room(db.accounting.watchdog_aborts, 1, "watchdog abort count")?;
+        }
+        Record::Backoff { .. } => {}
+        Record::DeadLettered { letter, .. } => {
+            if let Some(t) = db.task_row(letter.task) {
+                if letter.category != Category::Merge {
+                    let dead = db.workflows[t.wf as usize].state.dead;
+                    room(dead, letter.units, "dead tasklet count")?;
+                }
+            }
+        }
+        Record::ShardSnapshot { state } => {
+            next_workflow(state.wf)?;
+            if state.cursor > state.total {
+                return Err(format!(
+                    "cursor {} past {} tasklets",
+                    state.cursor, state.total
+                ));
+            }
+            for t in &state.tasks {
+                new_row(t.id)?;
+            }
+            // Both lists are in ascending id order: one forward walk.
+            let mut ids = state.tasks.iter().map(|t| t.id);
+            let orphan = state.outputs.iter().find(|o| !ids.any(|id| id == o.task));
+            if let Some(o) = orphan {
+                return Err(format!("output of {} has no task row", o.task));
+            }
+        }
+        Record::MasterSnapshot { state } => {
+            for (gid, inputs) in &state.merge_groups {
+                causal(*gid, inputs)?;
+            }
+        }
     }
-    Ok(total)
+    let home = match rec {
+        Record::ShardSnapshot { state } => state.wf,
+        _ => db.route(rec),
+    };
+    if home != tag {
+        return Err(format!("record belongs in {}", journal::file_name(home)));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1748,24 +1600,20 @@ mod tests {
     use super::*;
     use crate::wrapper::Segment;
     use simkit::time::SimTime;
+    use std::path::PathBuf;
     use wqueue::task::{FailureCode, TaskTimes};
 
-    /// A fresh journal *path* (v3 journals are directories; v2 fixtures
-    /// write a file at the same path).
+    /// A fresh journal directory path.
     fn tmp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("lobster-db-test");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join(format!("{tag}-{}.wal", std::process::id()));
-        std::fs::remove_file(&p).ok();
         std::fs::remove_dir_all(&p).ok();
-        std::fs::remove_dir_all(migrate_tmp_path(&p)).ok();
         p
     }
 
     fn cleanup(p: &Path) {
-        std::fs::remove_file(p).ok();
         std::fs::remove_dir_all(p).ok();
-        std::fs::remove_dir_all(migrate_tmp_path(p)).ok();
     }
 
     fn shard_file(p: &Path, wf: u32) -> PathBuf {
@@ -2150,28 +1998,43 @@ mod tests {
         cleanup(&path);
     }
 
-    /// v1 (and any unknown version) in a single-file journal is rejected
-    /// — only v2 files migrate, only v3 directories attach.
+    /// A journal is a directory. A regular file at the journal path is
+    /// `InvalidData` whatever it holds — a single-file v1 or v2 journal, an
+    /// unknown version, a torn header, byte soup — and both calls leave
+    /// its bytes alone.
     #[test]
     fn v1_single_file_version_rejected() {
-        let path = tmp_path("v1");
-        for version in [1u32, 4, 99] {
-            let mut h = [0u8; HEADER_LEN];
-            h[..8].copy_from_slice(MAGIC);
+        let path = tmp_path("single-file");
+        let header = |version: u32| {
+            let mut h = v3_header(0).to_vec();
             h[8..12].copy_from_slice(&version.to_le_bytes());
-            std::fs::write(&path, h).unwrap();
-            assert_eq!(
-                LobsterDb::recover(&path).unwrap_err().kind(),
-                io::ErrorKind::InvalidData,
-                "version {version} must be rejected"
-            );
-            assert_eq!(
-                LobsterDb::open(&path).unwrap_err().kind(),
-                io::ErrorKind::InvalidData,
-                "version {version} must not open"
-            );
+            h
+        };
+        let mut rng = proptest::TestRng::for_case(0);
+        let soup: Vec<u8> = (0..64).map(|_| rng.next_u64() as u8).collect();
+        let cases = [
+            ("v1 header", header(1)),
+            ("v2 header", header(2)),
+            ("unknown version", header(99)),
+            ("torn header", header(FORMAT_VERSION)[..5].to_vec()),
+            ("byte soup", soup),
+        ];
+        for (what, bytes) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            for (call, res) in [
+                ("recover", LobsterDb::recover(&path).map(drop)),
+                ("open", LobsterDb::open(&path).map(drop)),
+            ] {
+                let err = res.expect_err(what);
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{call}: {what}");
+                assert!(
+                    err.to_string().contains(&format!("{path:?}")),
+                    "{call}: {what}: {err}"
+                );
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{what} untouched");
         }
-        cleanup(&path);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -2802,288 +2665,262 @@ mod tests {
         cleanup(&path);
     }
 
-    // ---- v2 migration ---------------------------------------------------
+    // ---- replay of CRC-valid contradictions -----------------------------
 
-    /// A realistic v2 record stream (the exact bytes a v2 master wrote).
-    fn v2_fixture() -> Vec<v2::V2Record> {
-        use v2::V2Record as R;
-        vec![
-            R::Workflow {
-                name: "wf".into(),
-                tasklets: 8,
-            },
-            R::TaskCreated {
-                id: TaskId(0),
-                workflow: "wf".into(),
-                tasklets: vec![0, 1, 2],
-            },
-            R::TaskCreated {
-                id: TaskId(1),
-                workflow: "wf".into(),
-                tasklets: vec![3, 4, 5],
-            },
-            R::TaskRunning { id: TaskId(0) },
-            R::TaskRunning { id: TaskId(1) },
-            R::Attempt {
-                report: Box::new(tests_report_for(1, true)),
-            },
-            R::TaskDone {
-                id: TaskId(1),
-                output_bytes: 150,
-            },
-            R::Attempt {
-                report: Box::new(tests_report_for(0, true)),
-            },
-            R::TaskDone {
-                id: TaskId(0),
-                output_bytes: 100,
-            },
-            R::Backoff {
-                wait: SimDuration::from_mins(5),
-            },
-            R::MergeCreated {
-                id: TaskId(MERGE_ID_BASE),
-                inputs: vec![(TaskId(1), 150), (TaskId(0), 100)],
-            },
-            R::Merged {
-                task: Some(TaskId(MERGE_ID_BASE)),
-                outputs: vec![TaskId(1), TaskId(0)],
-                into: "m0.root".into(),
-                bytes: 250,
-            },
-            R::TaskCreated {
-                id: TaskId(2),
-                workflow: "wf".into(),
-                tasklets: vec![6, 7],
-            },
-            R::TaskRunning { id: TaskId(2) },
-            R::DeadLettered {
-                letter: Box::new(tests_letter_for(2, Category::Analysis, 2)),
-            },
-        ]
-    }
-
-    fn tests_report_for(task: u64, ok: bool) -> SegmentReport {
-        report(task, ok)
-    }
-
-    fn tests_letter_for(task: u64, category: Category, units: u64) -> DeadLetter {
-        letter(task, category, units)
-    }
-
-    fn assert_v2_fixture_state(db: &LobsterDb) {
-        assert_eq!(db.total_tasklets("wf"), 8);
-        assert_eq!(db.done_tasklets("wf"), 6);
-        assert_eq!(db.dead_tasklets("wf"), 2);
-        assert_eq!(db.task_count(), 3);
-        assert_eq!(db.task_state(TaskId(2)), Some(TaskState::Withdrawn));
-        assert_eq!(db.merged_files(), vec![("m0.root".into(), 250)]);
-        assert!(db.unmerged_outputs().is_empty(), "both outputs merged");
-        assert_eq!(db.dead_letters().len(), 1);
-        assert_eq!(db.accounting().dead_lettered, 1);
-        assert!(db.accounting().cpu > 0.0);
-        assert!(db.accounting().backoff_hours > 0.0);
-        assert_eq!(db.counters().tasks_completed, 2);
-        assert_eq!(db.counters().merges_completed, 1);
-        // Finish order was 1 then 0.
-        assert_eq!(db.done_order, vec![TaskId(1), TaskId(0)]);
-    }
-
-    #[test]
-    fn v2_file_recovers_read_only() {
-        let path = tmp_path("v2-ro");
-        std::fs::write(&path, v2::v2_file_bytes(&v2_fixture())).unwrap();
-        let mut db = LobsterDb::recover(&path).unwrap();
-        assert_v2_fixture_state(&db);
-        assert_eq!(db.take_replayed_attempts().len(), 2);
-        assert!(
-            std::fs::metadata(&path).unwrap().is_file(),
-            "recover must not migrate"
-        );
-        cleanup(&path);
-    }
-
-    #[test]
-    fn v2_file_migrates_to_v3_directory_on_open() {
-        let path = tmp_path("v2-migrate");
-        std::fs::write(&path, v2::v2_file_bytes(&v2_fixture())).unwrap();
-        {
-            let mut db = LobsterDb::open(&path).unwrap();
-            assert_v2_fixture_state(&db);
-            assert!(
-                std::fs::metadata(&path).unwrap().is_dir(),
-                "open migrates in place"
-            );
-            assert!(shard_file(&path, 0).is_file());
-            assert!(master_file(&path).is_file());
-            assert!(!migrate_tmp_path(&path).exists(), "tmp dir renamed away");
-            // The migrated journal accepts appends: ids continue.
-            db.register_workflow("wf2", 4);
-            let t = db.create_task("wf2", 2).unwrap();
-            assert_eq!(t, TaskId(3), "task ids continue across the migration");
+    /// `recs` as the one intact frame of file `file` in a fresh journal:
+    /// CRC-valid and decodable, so every record reaches replay. Both
+    /// `recover` and `open` must refuse it with `InvalidData` naming `why`.
+    fn assert_replay_refuses(file: u32, recs: &[Record], why: &str) {
+        let path = tmp_path("contradiction");
+        std::fs::create_dir_all(&path).unwrap();
+        let mut payload = Vec::new();
+        codec::put_u64(&mut payload, recs.len() as u64);
+        for rec in recs {
+            codec::encode_record(&mut payload, rec);
         }
-        let db = LobsterDb::recover(&path).unwrap();
-        assert_eq!(db.task_count(), 4);
-        assert_eq!(db.done_tasklets("wf"), 6);
-        assert_eq!(db.dead_tasklets("wf"), 2);
-        assert_eq!(db.merged_files(), vec![("m0.root".into(), 250)]);
-        assert_eq!(db.task_state(TaskId(3)), Some(TaskState::Ready));
+        let mut bytes = v3_header(file).to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::write(path.join(journal::file_name(file)), bytes).unwrap();
+        for res in [LobsterDb::recover(&path), LobsterDb::open(&path)] {
+            let err = res.expect_err(why);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
+            assert!(err.to_string().contains(why), "{why}: {err}");
+        }
         cleanup(&path);
     }
 
-    /// A torn final frame in the v2 file is still just an interrupted
-    /// append: migration replays the intact prefix.
+    /// Workflow 0's shard snapshot, 8 tasklets, task 0 running over
+    /// tasklets 0 and 1, edited by `edit`.
+    fn snap(edit: impl FnOnce(&mut ShardSnap)) -> Record {
+        let task = TaskSnap {
+            id: TaskId(0),
+            tasklets: vec![0, 1],
+            state: TaskState::Running,
+            attempts: 1,
+        };
+        let mut s = ShardSnap {
+            wf: 0,
+            name: "wf".into(),
+            total: 8,
+            cursor: 2,
+            returned: vec![],
+            done: 0,
+            dead: 0,
+            tasks: vec![task],
+            outputs: vec![],
+            dead_letters: vec![],
+        };
+        edit(&mut s);
+        Record::ShardSnapshot { state: Box::new(s) }
+    }
+
+    /// An empty master snapshot, edited by `edit`.
+    fn master_snap(edit: impl FnOnce(&mut MasterSnap)) -> Record {
+        let mut m = MasterSnap::default();
+        edit(&mut m);
+        Record::MasterSnapshot { state: Box::new(m) }
+    }
+
+    /// Each journal holds one record that contradicts the state replayed
+    /// before it. Replay refuses it instead of panicking in `apply`,
+    /// wrapping a counter, or sizing the task table from a corrupt id.
     #[test]
-    fn v2_torn_tail_migrates() {
-        let path = tmp_path("v2-torn");
-        let bytes = v2::v2_file_bytes(&v2_fixture());
-        std::fs::write(&path, &bytes[..bytes.len() - 4]).unwrap();
-        let db = LobsterDb::open(&path).unwrap();
-        // Final record (the DeadLettered) torn off.
-        assert_eq!(db.dead_letters().len(), 0);
-        assert_eq!(db.task_state(TaskId(2)), Some(TaskState::Running));
-        assert_eq!(db.done_tasklets("wf"), 6);
+    fn replay_refuses_contradicting_records() {
+        use Record as R;
+        let wf = |wf: u32| R::Workflow {
+            wf,
+            name: "wf".into(),
+            tasklets: 8,
+        };
+        let new = |id: u64, wf: u32, t: u64| R::TaskCreated {
+            id: TaskId(id),
+            wf,
+            tasklets: vec![t],
+        };
+        let run = |id: u64| R::TaskRunning { id: TaskId(id) };
+        let done = || R::TaskDone {
+            id: TaskId(0),
+            output_bytes: 1,
+            done_seq: 0,
+        };
+        let merged = |outputs: Vec<TaskId>| R::Merged {
+            task: None,
+            outputs,
+            into: "m.root".into(),
+            bytes: 1,
+        };
+        let dead = R::DeadLettered {
+            letter: Box::new(letter(0, Category::Analysis, 2)),
+            seq: 0,
+        };
+        let attempt = R::Attempt {
+            report: Box::new(report(0, false)),
+        };
+        let backoff = R::Backoff {
+            wait: SimDuration::ZERO,
+        };
+        let merge = R::MergeCreated {
+            id: TaskId(5),
+            inputs: vec![],
+        };
+        let orphan = OutputSnap {
+            task: TaskId(3),
+            bytes: 1,
+            done_seq: 0,
+        };
+        let orphaned = snap(|s| s.outputs.push(orphan));
+        let group = (TaskId(MERGE_ID_BASE), vec![(TaskId(0), 1)]);
+        let dangling = master_snap(|s| s.merge_groups.push(group));
+        let max = u64::MAX;
+        let all_done = snap(|s| s.done = max);
+        let all_dead = snap(|s| s.dead = max);
+        let tired = snap(|s| s.tasks[0].attempts = u32::MAX);
+        let all_merged = master_snap(|s| s.merges_completed = max);
+        let all_failed = master_snap(|s| s.tasks_failed = max);
+        let m = MASTER_TAG;
+        let cases = [
+            (0, vec![run(5)], "task#5 has no task row"),
+            (0, vec![new(0, 7, 0)], "unknown workflow index 7"),
+            (0, vec![wf(1)], "index 1 registered where 0"),
+            (0, vec![wf(0), new(0, 0, 0), done()], "leave Ready"),
+            (0, vec![wf(0), new(0, 0, 0), new(0, 0, 1)], "twice"),
+            (0, vec![wf(0), new(0, 0, 8)], "tasklet 8 outside"),
+            (0, vec![wf(0), backoff], "belongs in master.wal"),
+            (0, vec![snap(|s| s.cursor = 9)], "cursor 9 past 8"),
+            (0, vec![orphaned], "output of task#3 has no task row"),
+            (m, vec![merge], "merge id 5 below"),
+            (m, vec![dangling], "causality"),
+            (m, vec![merged(vec![TaskId(0)])], "task#0 has no output row"),
+        ];
+        for (file, recs, why) in cases {
+            assert_replay_refuses(file, &recs, why);
+        }
+        let overflows = [
+            (0, vec![all_done, done()], "done tasklet count"),
+            (0, vec![all_dead, dead], "dead tasklet count"),
+            (0, vec![tired, run(0)], "task#0 attempt count"),
+            (m, vec![all_merged, merged(vec![])], "merge count"),
+            (m, vec![all_failed, attempt], "failure count"),
+        ];
+        for (file, recs, what) in overflows {
+            assert_replay_refuses(file, &recs, &format!("{what} overflows"));
+        }
+        // An id at or past the merge base, or far past the task rows the
+        // journal holds (here one), would size the dense task table.
+        for id in [max - 1, MERGE_ID_BASE, MERGE_ID_BASE - 1, TASK_ID_SLACK + 2] {
+            let why = format!("task id {id} outside the journal's range");
+            assert_replay_refuses(0, &[wf(0), new(id, 0, 0)], &why);
+        }
+    }
+
+    /// A commit torn between two shard files keeps the first shard's new
+    /// tasks and loses the second's, leaving a legitimate gap in the task
+    /// ids. Replay accepts it, and the next task continues past the gap.
+    #[test]
+    fn torn_commit_between_shards_leaves_an_id_gap() {
+        let path = tmp_path("id-gap");
+        {
+            let mut db = LobsterDb::open_with_policy(&path, &group_policy(1000, u64::MAX)).unwrap();
+            db.register_workflow("alpha", 4);
+            db.register_workflow("beta", 4);
+            db.flush();
+            for wf in ["alpha", "beta", "alpha"] {
+                db.create_task(wf, 2).unwrap(); // ids 0, 1, 2 in one group
+            }
+        }
+        let beta = shard_file(&path, 1);
+        let len = std::fs::metadata(&beta).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&beta).unwrap();
+        f.set_len(len - 1).unwrap(); // the group's beta frame is torn
+        let mut db = LobsterDb::open(&path).unwrap();
+        assert_eq!(db.ready_tasks(), vec![TaskId(0), TaskId(2)]);
+        assert_eq!(db.create_task("beta", 2), Some(TaskId(3)));
         drop(db);
         cleanup(&path);
     }
 
-    /// An orphaned migration directory (crash between `remove_file(v2)`
-    /// and the final rename) is the complete journal: recover reads it,
-    /// open adopts it.
-    #[test]
-    fn orphaned_migration_dir_is_adopted() {
-        let path = tmp_path("v2-orphan");
-        std::fs::write(&path, v2::v2_file_bytes(&v2_fixture())).unwrap();
-        drop(LobsterDb::open(&path).unwrap()); // migrate
-                                               // Simulate the crash window: directory back under its tmp name.
-        std::fs::rename(&path, migrate_tmp_path(&path)).unwrap();
-        let db = LobsterDb::recover(&path).unwrap();
-        assert_v2_fixture_state(&db);
-        drop(db);
-        let db = LobsterDb::open(&path).unwrap();
-        assert_v2_fixture_state(&db);
-        assert!(
-            std::fs::metadata(&path).unwrap().is_dir(),
-            "rename finished"
-        );
-        assert!(!migrate_tmp_path(&path).exists());
-        drop(db);
-        cleanup(&path);
-    }
-
-    /// Migration equivalence: the same logical operations produce the
-    /// same observable state whether they were journaled as v2 JSON and
-    /// migrated, or executed directly against a v3 db.
-    #[test]
-    fn v2_migration_is_equivalent_to_native_v3() {
-        let path = tmp_path("v2-equiv");
-        // Native v3: drive the public API with the fixture's operations.
-        let mut live = LobsterDb::in_memory();
-        live.register_workflow("wf", 8);
-        let t0 = live.create_task("wf", 3).unwrap();
-        let t1 = live.create_task("wf", 3).unwrap();
-        live.mark_running(t0).unwrap();
-        live.mark_running(t1).unwrap();
-        live.record_attempt(&report(1, true));
-        live.mark_done(t1, 150).unwrap();
-        live.record_attempt(&report(0, true));
-        live.mark_done(t0, 100).unwrap();
-        live.record_backoff(SimDuration::from_mins(5));
-        let g = live.create_merge_group(&[(t1, 150), (t0, 100)]).unwrap();
-        live.mark_merged(Some(g), &[t1, t0], "m0.root", 250)
+    /// A small journal with every record kind, batch frames and snapshot
+    /// frames, across two shards and `master.wal`.
+    fn bit_flip_fixture(path: &Path) {
+        let mut db = LobsterDb::open_with_policy(path, &group_policy(3, u64::MAX)).unwrap();
+        db.register_workflow("alpha", 8);
+        db.register_workflow("beta", 6);
+        let mut done = Vec::new();
+        for wf in ["alpha", "beta", "alpha", "beta"] {
+            let t = db.create_task(wf, 2).unwrap();
+            db.mark_running(t).unwrap();
+            db.record_attempt(&report(t.0, true));
+            db.mark_done(t, 100 + t.0).unwrap();
+            done.push((t, 100 + t.0));
+        }
+        let g = db.create_merge_group(&done[..2]).unwrap();
+        db.mark_merged(Some(g), &[done[0].0, done[1].0], "m0.root", 201)
             .unwrap();
-        let t2 = live.create_task("wf", 2).unwrap();
-        live.mark_running(t2).unwrap();
-        live.record_dead_letter(letter(2, Category::Analysis, 2));
-        // Migrated: the identical operations as v2 journal bytes.
-        std::fs::write(&path, v2::v2_file_bytes(&v2_fixture())).unwrap();
-        let migrated = LobsterDb::open(&path).unwrap();
-        assert_eq!(
-            serde_json::to_string(migrated.accounting()).unwrap(),
-            serde_json::to_string(live.accounting()).unwrap()
-        );
-        assert_eq!(migrated.counters(), live.counters());
-        assert_eq!(migrated.dead_letters(), live.dead_letters());
-        assert_eq!(migrated.done_order_unmerged(), live.done_order_unmerged());
-        assert_eq!(migrated.unmerged_outputs(), live.unmerged_outputs());
-        assert_eq!(migrated.merged_files(), live.merged_files());
-        assert_eq!(migrated.open_merge_groups(), live.open_merge_groups());
-        for id in 0..3 {
-            assert_eq!(
-                migrated.task_state(TaskId(id)),
-                live.task_state(TaskId(id)),
-                "task {id}"
-            );
-            assert_eq!(migrated.attempts(TaskId(id)), live.attempts(TaskId(id)));
-        }
-        let wf = "wf";
-        assert_eq!(migrated.total_tasklets(wf), live.total_tasklets(wf));
-        assert_eq!(migrated.done_tasklets(wf), live.done_tasklets(wf));
-        assert_eq!(migrated.dead_tasklets(wf), live.dead_tasklets(wf));
-        assert_eq!(
-            migrated.unassigned_tasklets(wf),
-            live.unassigned_tasklets(wf)
-        );
-        drop(migrated);
-        cleanup(&path);
+        db.compact().unwrap();
+        let lost = db.create_task("alpha", 2).unwrap();
+        db.mark_running(lost).unwrap();
+        db.record_attempt(&report(lost.0, false));
+        db.mark_lost(lost).unwrap();
+        db.record_backoff(SimDuration::from_mins(5));
+        let dead = db.create_task("beta", 2).unwrap();
+        db.mark_running(dead).unwrap();
+        db.record_dead_letter(letter(dead.0, Category::Analysis, 2));
+        let g = db.create_merge_group(&done[2..]).unwrap();
+        db.record_dead_letter(letter(g.0, Category::Merge, 2));
+        db.flush();
     }
 
-    /// `v2_equivalent_bytes` prices the stream faithfully: fabricate the
-    /// actual v2 file for the same records and compare.
+    /// Flip one to three bits in one frame's payload of a real journal and
+    /// reseal the frame's CRC, so the frame reaches the decoder and, when
+    /// it decodes, replay. Recovery must return `Ok` or `InvalidData`,
+    /// never panic. Deterministic: case `i` draws from the shim's
+    /// generator for case `i`, over a fixed number of cases.
     #[test]
-    fn v2_equivalent_bytes_matches_real_v2_file() {
-        let path = tmp_path("v2-price");
-        std::fs::write(&path, v2::v2_file_bytes(&v2_fixture())).unwrap();
-        let real = std::fs::metadata(&path).unwrap().len();
-        // Migrate, then price the migrated stream back in v2 JSON.
-        drop(LobsterDb::open(&path).unwrap());
-        let priced = v2_equivalent_bytes(&path).unwrap();
-        // The migrated journal holds snapshot frames (priced at 0) plus
-        // the post-migration record stream; here everything landed in
-        // the snapshots, so the fixture must be re-priced from a live
-        // journal instead.
-        assert_eq!(priced, HEADER_LEN as u64, "snapshots price to zero");
-        cleanup(&path);
-
-        // Now price a live (uncompacted) v3 journal against a fabricated
-        // v2 file of the same logical records.
-        let path = tmp_path("v2-price-live");
-        {
-            let mut db = LobsterDb::open(&path).unwrap();
-            db.register_workflow("wf", 8);
-            let t0 = db.create_task("wf", 3).unwrap();
-            db.mark_running(t0).unwrap();
-            db.record_attempt(&report(0, true));
-            db.mark_done(t0, 100).unwrap();
+    fn bit_flips_in_crc_valid_frames_never_panic() {
+        const CASES: u64 = 256;
+        let path = tmp_path("flip");
+        bit_flip_fixture(&path);
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&path)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 3, "two shards and master.wal");
+        let (mut ok, mut refused) = (0, 0);
+        for case in 0..CASES {
+            let mut rng = proptest::TestRng::for_case(case);
+            let file = &files[rng.below(files.len() as u64) as usize];
+            let intact = std::fs::read(file).unwrap();
+            // `(payload start, payload end)` of every frame.
+            let mut frames = Vec::new();
+            let mut pos = HEADER_LEN;
+            while pos < intact.len() {
+                let len = u32::from_le_bytes(intact[pos..pos + 4].try_into().unwrap()) as usize;
+                pos += FRAME_HEADER_LEN;
+                frames.push((pos, pos + len));
+                pos += len;
+            }
+            let (start, end) = frames[rng.below(frames.len() as u64) as usize];
+            let mut bytes = intact.clone();
+            for _ in 0..=rng.below(3) {
+                let bit = rng.below(8 * (end - start) as u64);
+                bytes[start + (bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+            let crc = crc32(&bytes[start..end]);
+            bytes[start - 4..start].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(file, bytes).unwrap();
+            match LobsterDb::recover(&path) {
+                Ok(_) => ok += 1,
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "case {case}: {e}");
+                    refused += 1;
+                }
+            }
+            std::fs::write(file, intact).unwrap();
         }
-        let priced = v2_equivalent_bytes(&path).unwrap();
-        let fabricated = v2::v2_file_bytes(&[
-            v2::V2Record::Workflow {
-                name: "wf".into(),
-                tasklets: 8,
-            },
-            v2::V2Record::TaskCreated {
-                id: TaskId(0),
-                workflow: "wf".into(),
-                tasklets: vec![0, 1, 2],
-            },
-            v2::V2Record::TaskRunning { id: TaskId(0) },
-            v2::V2Record::Attempt {
-                report: Box::new(report(0, true)),
-            },
-            v2::V2Record::TaskDone {
-                id: TaskId(0),
-                output_bytes: 100,
-            },
-        ])
-        .len() as u64;
-        assert_eq!(priced, fabricated, "pricing matches the real v2 bytes");
-        assert!(
-            priced > 4 * journal_bytes(&path).unwrap(),
-            "v3 on-disk ({}) much smaller than v2 equivalent ({priced})",
-            journal_bytes(&path).unwrap()
-        );
-        let _ = real;
+        assert!(ok > 0 && refused > 0, "{ok} recovered, {refused} refused");
         cleanup(&path);
     }
 }

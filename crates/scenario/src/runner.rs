@@ -167,9 +167,7 @@ pub struct ScenarioRunner {
     root: PathBuf,
 }
 
-/// v3 journals are directories; clear both shapes.
 fn cleanup(path: &Path) {
-    std::fs::remove_file(path).ok();
     std::fs::remove_dir_all(path).ok();
 }
 

@@ -34,9 +34,7 @@ fn journal_path(tag: &str) -> PathBuf {
     path
 }
 
-/// v3 journals are directories; clear both shapes.
 fn cleanup(path: &PathBuf) {
-    std::fs::remove_file(path).ok();
     std::fs::remove_dir_all(path).ok();
 }
 

@@ -310,7 +310,6 @@ fn db_recovery_then_real_merge() {
     let dir = std::env::temp_dir().join("lobster-integration");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("journal-{}.wal", std::process::id()));
-    std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&path).ok();
 
     // Phase 1: process half the workflow, then "crash".
@@ -544,7 +543,6 @@ fn ops_pause_checkpoint_resume_converges() {
     let dir = std::env::temp_dir().join("lobster-ops-pause");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("pause-{}.wal", std::process::id()));
-    std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&path).ok();
 
     let mk = || {
@@ -621,6 +619,5 @@ fn ops_pause_checkpoint_resume_converges() {
         reference.dead_letters.len(),
         "dead-letter ledgers must agree"
     );
-    std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&path).ok();
 }
