@@ -2,8 +2,9 @@
 //!
 //! These quantify the costs that make whole-cluster simulation cheap:
 //! event-queue throughput, O(log n) fair-link operations, queueing-station
-//! offers, the concurrent worker cache, the Map-Reduce engine, and one
-//! point of the §4.1 task-size Monte Carlo.
+//! offers, the concurrent worker cache, the Map-Reduce engine, one
+//! point of the §4.1 task-size Monte Carlo, and the Lobster DB's merge
+//! bookkeeping.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use simkit::prelude::*;
@@ -27,6 +28,63 @@ fn bench_engine(c: &mut Criterion) {
             let mut eng = Engine::new(Chain { left: 100_000 });
             eng.prime(SimDuration::ZERO, ());
             black_box(eng.run());
+        })
+    });
+}
+
+/// The calendar queue's cursor bucket at its worst: 10k events land in
+/// one 1.05 s bucket, every delivery schedules a replacement behind the
+/// cursor at a random instant of the same bucket (a sorted insert into
+/// the run being drained), and every third delivery cancels a pending
+/// event.
+fn bench_engine_same_bucket(c: &mut Criterion) {
+    /// One wheel bucket: 2^20 µs.
+    const BUCKET_US: u64 = 1 << 20;
+    struct SameBucket {
+        rng: u64,
+        left: u32,
+        ids: Vec<EventId>,
+    }
+    impl SameBucket {
+        /// A random instant in bucket 1, at or after `now`.
+        fn instant(&mut self, now: SimTime) -> SimTime {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            let at = SimTime::from_micros(BUCKET_US + self.rng % BUCKET_US);
+            at.max(now)
+        }
+    }
+    impl Model for SameBucket {
+        type Event = u32;
+        fn handle(&mut self, ev: u32, ctx: &mut Ctx<u32>) {
+            if self.left == 0 {
+                return;
+            }
+            self.left -= 1;
+            let at = self.instant(ctx.now());
+            self.ids.push(ctx.schedule_at(at, ev));
+            if ev.is_multiple_of(3) {
+                let victim = self.ids[self.rng as usize % self.ids.len()];
+                ctx.cancel(victim);
+            }
+        }
+    }
+    c.bench_function("engine/same_bucket_10k", |b| {
+        b.iter(|| {
+            let model = SameBucket {
+                rng: 0x9E37_79B9_7F4A_7C15,
+                left: 10_000,
+                ids: Vec::with_capacity(20_000),
+            };
+            let mut eng = Engine::new(model);
+            for i in 0..10_000u32 {
+                let at = eng.model_mut().instant(SimTime::ZERO);
+                let id = eng.ctx().schedule_at(at, i);
+                eng.model_mut().ids.push(id);
+            }
+            black_box(eng.run());
+            black_box(eng.ctx().delivered())
         })
     });
 }
@@ -119,6 +177,45 @@ fn bench_tasksize(c: &mut Criterion) {
     });
 }
 
+/// The db's merge bookkeeping on the completion path: 100k analysis
+/// outputs finish, every 48 are grouped into a merge as they arrive, and
+/// each group is marked merged four groups later, so a few stay open.
+fn bench_db_merge_bookkeeping(c: &mut Criterion) {
+    use lobster::db::LobsterDb;
+    use std::collections::VecDeque;
+    use wqueue::task::TaskId;
+    const OUTPUTS: u64 = 100_000;
+    const GROUP: usize = 48;
+    c.bench_function("db/merge_bookkeeping_100k", |b| {
+        b.iter(|| {
+            let mut db = LobsterDb::in_memory();
+            db.register_workflow("wf", OUTPUTS);
+            let mut pending: Vec<(TaskId, u64)> = Vec::with_capacity(GROUP);
+            let mut open: VecDeque<(TaskId, Vec<TaskId>)> = VecDeque::new();
+            let merge = |db: &mut LobsterDb, (g, ids): (TaskId, Vec<TaskId>)| {
+                let name = format!("merged_{}.root", g.0);
+                db.mark_merged(Some(g), &ids, &name, 1).expect("merge");
+            };
+            while let Some(t) = db.create_task("wf", 1) {
+                db.mark_running(t).expect("run");
+                db.mark_done(t, 1_000 + t.0).expect("done");
+                pending.push((t, 1_000 + t.0));
+                if pending.len() == GROUP {
+                    let g = db.create_merge_group(&pending).expect("group");
+                    open.push_back((g, pending.drain(..).map(|(t, _)| t).collect()));
+                    if open.len() > 4 {
+                        merge(&mut db, open.pop_front().expect("open"));
+                    }
+                }
+            }
+            for group in open.drain(..) {
+                merge(&mut db, group);
+            }
+            black_box(db.merged_file_count())
+        })
+    });
+}
+
 /// A small end-to-end cluster simulation.
 fn bench_cluster_sim(c: &mut Criterion) {
     use batchsim::availability::AvailabilityModel;
@@ -168,7 +265,8 @@ fn bench_cluster_sim(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine, bench_fair_link, bench_server, bench_worker_cache,
-              bench_mapreduce, bench_tasksize, bench_cluster_sim
+    targets = bench_engine, bench_engine_same_bucket, bench_fair_link, bench_server,
+              bench_worker_cache, bench_mapreduce, bench_tasksize,
+              bench_db_merge_bookkeeping, bench_cluster_sim
 }
 criterion_main!(benches);

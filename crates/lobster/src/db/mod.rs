@@ -136,9 +136,10 @@ pub enum TaskState {
     Withdrawn,
 }
 
-/// A produced output file. Merge state (merged-into, withdrawn) lives in
-/// the master-side maps, not on the row: the row is shard state, and the
-/// two slices must stay disjoint for sharded replay.
+/// A produced output file. Merge state (grouped, merged-into, withdrawn)
+/// lives in the master-side [`MergeState`] column, not on the row: the row
+/// is shard state, and the two slices must stay disjoint for sharded
+/// replay.
 #[derive(Clone, Debug)]
 struct OutputFile {
     /// Producing task.
@@ -154,9 +155,27 @@ struct OutputFile {
 struct MergedFile {
     /// Size in bytes.
     bytes: u64,
-    /// Dense creation index, the key [`LobsterDb::merged_outputs`] uses.
+    /// Dense creation index, the payload of [`MergeState::Merged`].
     /// Snapshots index files by the rank of the name instead.
     id: u32,
+}
+
+/// Where one output stands in merge planning: one entry of the master's
+/// merge-state column, indexed by producing task id. The states are
+/// exclusive: an output is grouped by at most one open merge, and a
+/// merged or withdrawn output never returns to planning.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum MergeState {
+    /// Unclaimed: a done output is free for the merge planner (an id with
+    /// no output row is `Free` too).
+    #[default]
+    Free,
+    /// Claimed by an open merge group.
+    Grouped,
+    /// Merged into the file with this [`MergedFile::id`].
+    Merged(u32),
+    /// Withdrawn with a dead-lettered merge group: never merged.
+    Withdrawn,
 }
 
 /// The `(producer, bytes)` inputs of one planned merge group.
@@ -372,13 +391,13 @@ pub struct LobsterDb {
     merged_files: BTreeMap<String, MergedFile>,
     /// Planned merges not yet completed, keyed by merge task id.
     merge_groups: BTreeMap<TaskId, MergeInputs>,
-    /// Outputs claimed by an open merge group.
-    grouped: BTreeSet<TaskId>,
-    /// Producer → merged file ([`MergedFile::id`]), for every merged
-    /// output.
-    merged_outputs: BTreeMap<TaskId, u32>,
-    /// Outputs withdrawn with a dead-lettered merge.
-    withdrawn_outputs: BTreeSet<TaskId>,
+    /// Merge state of each output, indexed by producing task id: master
+    /// state kept beside the shard-owned `outputs` and sized with it, so
+    /// only ids replay accepted as output rows ever size it. Snapshots
+    /// read it in id order, the order the trees it replaced iterated in.
+    merge_state: Vec<MergeState>,
+    /// `Merged` entries in `merge_state` (the snapshot's list length).
+    n_merged: usize,
     /// The ledger in dead-letter order (sequence-sorted on replay).
     dead_letters: Vec<DeadLetter>,
     /// `seq` of each ledger entry — parallel, ascending.
@@ -412,9 +431,8 @@ impl LobsterDb {
             done_seqs: Vec::new(),
             merged_files: BTreeMap::new(),
             merge_groups: BTreeMap::new(),
-            grouped: BTreeSet::new(),
-            merged_outputs: BTreeMap::new(),
-            withdrawn_outputs: BTreeSet::new(),
+            merge_state: Vec::new(),
+            n_merged: 0,
             dead_letters: Vec::new(),
             dead_letter_seqs: Vec::new(),
             accounting: Accounting::default(),
@@ -649,7 +667,7 @@ impl LobsterDb {
             }
             Record::MergeCreated { id, inputs } => {
                 for (src, _) in &inputs {
-                    self.grouped.insert(*src);
+                    self.set_merge_state(*src, MergeState::Grouped);
                 }
                 self.merge_groups.insert(id, inputs);
                 self.next_merge = self.next_merge.max(id.0 - MERGE_ID_BASE + 1);
@@ -662,8 +680,7 @@ impl LobsterDb {
             } => {
                 let file = self.insert_merged_file(into, bytes);
                 for id in &outputs {
-                    self.merged_outputs.insert(*id, file);
-                    self.grouped.remove(id);
+                    self.set_merge_state(*id, MergeState::Merged(file));
                 }
                 self.counters.merges_completed += 1;
                 if let Some(t) = task {
@@ -681,10 +698,12 @@ impl LobsterDb {
                 if l.category == Category::Merge {
                     // Withdraw the group: its inputs leave merge planning
                     // for good (they are neither merged nor re-groupable).
+                    // An input merged by another merge stays merged.
                     if let Some(inputs) = self.merge_groups.remove(&l.task) {
                         for (src, _) in inputs {
-                            self.grouped.remove(&src);
-                            self.withdrawn_outputs.insert(src);
+                            if self.merge_state_of(src) == MergeState::Grouped {
+                                self.set_merge_state(src, MergeState::Withdrawn);
+                            }
                         }
                     }
                 } else {
@@ -843,6 +862,7 @@ impl LobsterDb {
             .enumerate()
             .map(|(i, k)| (k.as_str(), i as u32))
             .collect();
+        let states = || (0u64..).zip(&self.merge_state);
         MasterSnap {
             merged_files: self
                 .merged_files
@@ -854,12 +874,16 @@ impl LobsterDb {
                 .iter()
                 .map(|(k, v)| (*k, v.clone()))
                 .collect(),
-            merged_outputs: self
-                .merged_outputs
-                .iter()
-                .map(|(task, id)| (*task, file_ix[names[*id as usize]]))
+            merged_outputs: states()
+                .filter_map(|(task, s)| match s {
+                    MergeState::Merged(id) => Some((TaskId(task), file_ix[names[*id as usize]])),
+                    _ => None,
+                })
                 .collect(),
-            withdrawn_outputs: self.withdrawn_outputs.iter().map(|t| t.0).collect(),
+            withdrawn_outputs: states()
+                .filter(|(_, s)| **s == MergeState::Withdrawn)
+                .map(|(task, _)| task)
+                .collect(),
             next_merge: self.next_merge,
             dead_letters: self
                 .dead_letters
@@ -926,18 +950,18 @@ impl LobsterDb {
             .into_iter()
             .map(|(name, bytes)| self.insert_merged_file(name, bytes))
             .collect();
-        self.grouped = m
-            .merge_groups
-            .iter()
-            .flat_map(|(_, inputs)| inputs.iter().map(|(src, _)| *src))
-            .collect();
+        self.merge_state.fill(MergeState::Free);
+        self.n_merged = 0;
+        for (src, _) in m.merge_groups.iter().flat_map(|(_, inputs)| inputs) {
+            self.set_merge_state(*src, MergeState::Grouped);
+        }
         self.merge_groups = m.merge_groups.into_iter().collect();
-        self.merged_outputs = m
-            .merged_outputs
-            .into_iter()
-            .map(|(task, ix)| (task, ids[ix as usize]))
-            .collect();
-        self.withdrawn_outputs = m.withdrawn_outputs.into_iter().map(TaskId).collect();
+        for (task, ix) in m.merged_outputs {
+            self.set_merge_state(task, MergeState::Merged(ids[ix as usize]));
+        }
+        for task in m.withdrawn_outputs {
+            self.set_merge_state(TaskId(task), MergeState::Withdrawn);
+        }
         self.next_merge = m.next_merge;
         for (seq, l) in m.dead_letters {
             self.insert_dead_letter(seq, l);
@@ -990,15 +1014,43 @@ impl LobsterDb {
         let ix = id.0 as usize;
         if self.outputs.len() <= ix {
             self.outputs.resize(ix + 1, None);
+            self.merge_state.resize(ix + 1, MergeState::Free);
         }
         self.outputs[ix] = Some(out);
     }
 
-    /// True when `id`'s output exists and is still mergeable.
+    /// Merge state of `id`'s output (`Free` past the column's end).
+    fn merge_state_of(&self, id: TaskId) -> MergeState {
+        usize::try_from(id.0)
+            .ok()
+            .and_then(|ix| self.merge_state.get(ix))
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// Move `id`'s output to `to`, keeping the merged count. The column
+    /// is sized with the output rows, so `id` must have one.
+    fn set_merge_state(&mut self, id: TaskId, to: MergeState) {
+        let slot = &mut self.merge_state[id.0 as usize];
+        let was_merged = matches!(*slot, MergeState::Merged(_));
+        let is_merged = matches!(to, MergeState::Merged(_));
+        *slot = to;
+        self.n_merged = self.n_merged - usize::from(was_merged) + usize::from(is_merged);
+    }
+
+    /// True when `id`'s output exists and is still mergeable (free or
+    /// grouped).
     fn output_mergeable(&self, id: TaskId) -> bool {
         self.output_row(id).is_some()
-            && !self.merged_outputs.contains_key(&id)
-            && !self.withdrawn_outputs.contains(&id)
+            && matches!(
+                self.merge_state_of(id),
+                MergeState::Free | MergeState::Grouped
+            )
+    }
+
+    /// True when `id`'s output exists and no merge has claimed it.
+    fn output_free(&self, id: TaskId) -> bool {
+        self.output_row(id).is_some() && self.merge_state_of(id) == MergeState::Free
     }
 
     fn reject(&mut self, task: TaskId, action: &'static str) -> RejectedTransition {
@@ -1123,7 +1175,7 @@ impl LobsterDb {
         inputs: &[(TaskId, u64)],
     ) -> Result<TaskId, RejectedTransition> {
         for (src, _) in inputs {
-            if !self.output_mergeable(*src) || self.grouped.contains(src) {
+            if !self.output_free(*src) {
                 return Err(self.reject(*src, "create_merge_group"));
             }
         }
@@ -1287,7 +1339,7 @@ impl LobsterDb {
     pub fn done_order_unmerged(&self) -> Vec<(TaskId, u64)> {
         self.done_order
             .iter()
-            .filter(|id| self.output_mergeable(**id) && !self.grouped.contains(id))
+            .filter(|id| self.output_free(**id))
             .filter_map(|id| self.output_row(*id).map(|o| (o.task, o.bytes)))
             .collect()
     }
@@ -1539,11 +1591,23 @@ fn check_replayed(db: &LobsterDb, tag: u32, rec: &Record, id_bound: u64) -> Resu
                 return Err(format!("merge id {} below {MERGE_ID_BASE}", id.0));
             }
             causal(*id, inputs)?;
+            let claimed = inputs
+                .iter()
+                .map(|(src, _)| *src)
+                .find(|src| !db.output_free(*src));
+            if let Some(src) = claimed {
+                let state = db.merge_state_of(src);
+                return Err(format!("merge group input {src} is already {state:?}"));
+            }
         }
         Record::Merged { outputs, .. } => {
             room(db.counters.merges_completed, 1, "merge count")?;
             if let Some(o) = outputs.iter().find(|o| db.output_row(**o).is_none()) {
                 return Err(format!("merged output of {o} has no output row"));
+            }
+            if let Some(o) = outputs.iter().find(|o| !db.output_mergeable(**o)) {
+                let state = db.merge_state_of(*o);
+                return Err(format!("merged output of {o} is already {state:?}"));
             }
         }
         Record::Attempt { .. } => {
@@ -1583,6 +1647,7 @@ fn check_replayed(db: &LobsterDb, tag: u32, rec: &Record, id_bound: u64) -> Resu
             for (gid, inputs) in &state.merge_groups {
                 causal(*gid, inputs)?;
             }
+            check_snapshot_merge_states(db, state)?;
         }
     }
     let home = match rec {
@@ -1591,6 +1656,41 @@ fn check_replayed(db: &LobsterDb, tag: u32, rec: &Record, id_bound: u64) -> Resu
     };
     if home != tag {
         return Err(format!("record belongs in {}", journal::file_name(home)));
+    }
+    Ok(())
+}
+
+/// Why the merge states a master snapshot assigns contradict the output
+/// rows replayed before it: every id it names must have an output row,
+/// and no output may be given two different states, with one exception.
+/// `mark_merged` may merge an output that an open group still lists, so
+/// a group input that is also merged is legal, and installs as merged,
+/// as it stands in the live db. Same-state repeats install idempotently.
+fn check_snapshot_merge_states(db: &LobsterDb, m: &MasterSnap) -> Result<(), String> {
+    let grouped = m
+        .merge_groups
+        .iter()
+        .flat_map(|(_, inputs)| inputs)
+        .map(|(src, _)| (*src, MergeState::Grouped));
+    let merged = m
+        .merged_outputs
+        .iter()
+        .map(|(task, ix)| (*task, MergeState::Merged(*ix)));
+    let withdrawn = m
+        .withdrawn_outputs
+        .iter()
+        .map(|t| (TaskId(*t), MergeState::Withdrawn));
+    let mut seen = vec![MergeState::Free; db.merge_state.len()];
+    for (task, to) in grouped.chain(merged).chain(withdrawn) {
+        if db.output_row(task).is_none() {
+            return Err(format!("merge state of {task} has no output row"));
+        }
+        let slot = &mut seen[task.0 as usize];
+        let merged_from_group = *slot == MergeState::Grouped && matches!(to, MergeState::Merged(_));
+        if *slot != MergeState::Free && *slot != to && !merged_from_group {
+            return Err(format!("{task}'s output is both {slot:?} and {to:?}"));
+        }
+        *slot = to;
     }
     Ok(())
 }
@@ -2921,6 +3021,186 @@ mod tests {
             std::fs::write(file, intact).unwrap();
         }
         assert!(ok > 0 && refused > 0, "{ok} recovered, {refused} refused");
+        cleanup(&path);
+    }
+
+    // ---- the merge-state column ------------------------------------------
+
+    /// Everything the merge-state column feeds, read off one db.
+    type MergeView = (
+        Vec<(TaskId, u64)>,
+        Vec<(TaskId, u64)>,
+        Vec<(TaskId, MergeInputs)>,
+        Vec<u8>,
+    );
+
+    fn merge_view(db: &LobsterDb) -> MergeView {
+        (
+            db.unmerged_outputs(),
+            db.done_order_unmerged(),
+            db.open_merge_groups(),
+            db.master_snapshot_file(),
+        )
+    }
+
+    /// Outputs in every merge state, across two shards, finished out of id
+    /// order: free, grouped by an open merge, merged under Hadoop names
+    /// that sort out of creation order (`merged_h10` < `merged_h2`),
+    /// withdrawn with a dead-lettered merge, and grouped but merged by a
+    /// later Hadoop merge while the group stays open. A full replay and a
+    /// compact-then-recover both rebuild the same planning views and the
+    /// same master snapshot bytes.
+    #[test]
+    fn merge_state_survives_compaction_and_recovery() {
+        let path = tmp_path("merge-state");
+        let mut db = LobsterDb::open(&path).unwrap();
+        db.register_workflow("a", 64);
+        db.register_workflow("b", 64);
+        let ids: Vec<TaskId> = (0..24)
+            .map(|i| db.create_task(["a", "b"][i % 2], 4).unwrap())
+            .collect();
+        for id in &ids {
+            db.mark_running(*id).unwrap();
+        }
+        for id in ids.iter().rev() {
+            db.mark_done(*id, 100 + id.0).unwrap();
+        }
+        let out = |i: usize| (ids[i], 100 + ids[i].0);
+        // Grouped, open.
+        db.create_merge_group(&[out(0), out(1)]).unwrap();
+        // Merged under Hadoop names, twelve files.
+        for (k, i) in (2..14).enumerate() {
+            let name = format!("merged_h{k}.root");
+            db.mark_merged(None, &[ids[i]], &name, out(i).1).unwrap();
+        }
+        // Merged by its own group.
+        let g = db.create_merge_group(&[out(14), out(15)]).unwrap();
+        db.mark_merged(Some(g), &[ids[14], ids[15]], "merged_g.root", 1)
+            .unwrap();
+        // Withdrawn.
+        let g = db.create_merge_group(&[out(16), out(17)]).unwrap();
+        db.record_dead_letter(letter(g.0, Category::Merge, 2));
+        // Grouped, then merged outside the group, which stays open.
+        db.create_merge_group(&[out(18), out(19)]).unwrap();
+        db.mark_merged(None, &[ids[18]], "merged_h12.root", 1)
+            .unwrap();
+        // 20..24 stay free.
+        db.flush();
+        let live = merge_view(&db);
+        assert_eq!(live.0.len(), 2 + 1 + 4, "grouped, half-merged group, free");
+        assert_eq!(
+            live.1.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            vec![ids[23], ids[22], ids[21], ids[20]],
+            "free outputs in finish order"
+        );
+        assert_eq!(live.2.len(), 2, "two groups stay open");
+        assert_eq!(db.n_merged, 12 + 2 + 1);
+
+        let replayed = LobsterDb::recover(&path).unwrap();
+        assert!(merge_view(&replayed) == live, "full replay");
+        db.compact().unwrap();
+        drop(db);
+        let recovered = LobsterDb::recover(&path).unwrap();
+        assert!(merge_view(&recovered) == live, "snapshot replay");
+        // File ids are creation order live but name order after a
+        // snapshot install, so the column itself is not compared.
+        assert_eq!(recovered.n_merged, replayed.n_merged);
+        cleanup(&path);
+    }
+
+    /// CRC-valid `master.wal` records whose merge states contradict the
+    /// shard rows replayed before them: an output id far past every row
+    /// (`1 << 40`), a second group claiming a grouped output, a second
+    /// merge of a merged output, and snapshots that name an unknown
+    /// output or give one output two states. Replay refuses each with
+    /// `InvalidData` before `apply` can size the merge-state column from
+    /// the id.
+    #[test]
+    fn replay_refuses_contradicting_merge_states() {
+        let path = tmp_path("merge-refuse");
+        {
+            let mut db = LobsterDb::open(&path).unwrap();
+            db.register_workflow("wf", 4);
+            let t = db.create_task("wf", 4).unwrap();
+            db.mark_running(t).unwrap();
+            db.mark_done(t, 100).unwrap();
+        }
+        let far = TaskId(1 << 40);
+        let group = |n: u64, src: TaskId| Record::MergeCreated {
+            id: TaskId(MERGE_ID_BASE + n),
+            inputs: vec![(src, 100)],
+        };
+        let merged = |src: TaskId, into: &str| Record::Merged {
+            task: None,
+            outputs: vec![src],
+            into: into.into(),
+            bytes: 100,
+        };
+        let file = || vec![("m.root".to_string(), 100)];
+        let cases = [
+            (vec![group(0, far)], "causality"),
+            (
+                vec![merged(far, "m.root")],
+                "task#1099511627776 has no output row",
+            ),
+            (
+                vec![group(0, TaskId(0)), group(1, TaskId(0))],
+                "input task#0 is already Grouped",
+            ),
+            (
+                vec![merged(TaskId(0), "m.root"), merged(TaskId(0), "n.root")],
+                "task#0 is already Merged(0)",
+            ),
+            (
+                vec![master_snap(|m| {
+                    m.merged_files = file();
+                    m.merged_outputs = vec![(far, 0)];
+                })],
+                "merge state of task#1099511627776 has no output row",
+            ),
+            (
+                vec![master_snap(|m| m.withdrawn_outputs = vec![far.0])],
+                "has no output row",
+            ),
+            (
+                vec![master_snap(|m| {
+                    m.merged_files = file();
+                    m.merged_outputs = vec![(TaskId(0), 0)];
+                    m.withdrawn_outputs = vec![0];
+                })],
+                "both Merged(0) and Withdrawn",
+            ),
+        ];
+        let master = master_file(&path);
+        let intact = std::fs::read(&master).unwrap();
+        for (recs, why) in cases {
+            let mut payload = Vec::new();
+            codec::put_u64(&mut payload, recs.len() as u64);
+            for rec in &recs {
+                codec::encode_record(&mut payload, rec);
+            }
+            let mut bytes = v3_header(MASTER_TAG).to_vec();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            std::fs::write(&master, bytes).unwrap();
+            let mut db = LobsterDb::in_memory();
+            let scans = journal::scan_dir(&path).unwrap();
+            let Err(err) = replay_scans(&mut db, &path, scans) else {
+                panic!("{why}: replayed");
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
+            assert!(err.to_string().contains(why), "{why}: {err}");
+            assert_eq!(db.merge_state.len(), 1, "{why}: the column grew");
+            let err = LobsterDb::recover(&path).expect_err(why);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}: {err}");
+        }
+        // The intact journal still replays.
+        std::fs::write(&master, intact).unwrap();
+        assert_eq!(
+            LobsterDb::recover(&path).unwrap().unmerged_outputs().len(),
+            1
+        );
         cleanup(&path);
     }
 }

@@ -22,7 +22,7 @@
 
 use super::codec::{self, tag};
 use super::journal::snapshot_buffer;
-use super::{LobsterDb, OutputFile, TaskRow, TaskState, MASTER_TAG};
+use super::{LobsterDb, MergeState, OutputFile, TaskRow, TaskState, MASTER_TAG};
 use wqueue::task::TaskId;
 
 /// The encoded terminal id-prefix of one shard's task and output lists.
@@ -185,7 +185,7 @@ impl LobsterDb {
     /// The compacted-file image of `master.wal`: its snapshot record in a
     /// [`snapshot_buffer`].
     pub(super) fn master_snapshot_file(&self) -> Vec<u8> {
-        let mut file = snapshot_buffer(64 + 8 * self.merged_outputs.len());
+        let mut file = snapshot_buffer(64 + 8 * self.n_merged);
         file.push(tag::MASTER_SNAPSHOT);
         codec::put_u64(&mut file, self.merged_files.len() as u64);
         // A merged output names its file by the rank of the file's name,
@@ -201,12 +201,21 @@ impl LobsterDb {
             codec::put_u64(&mut file, id.0);
             codec::put_inputs(&mut file, inputs);
         }
-        codec::put_u64(&mut file, self.merged_outputs.len() as u64);
-        for (task, id) in &self.merged_outputs {
-            codec::put_task(&mut file, *task);
-            codec::put_u32(&mut file, rank[*id as usize]);
+        // One walk of the merge-state column in id order writes the merged
+        // list and collects the (rare) withdrawn ids.
+        codec::put_u64(&mut file, self.n_merged as u64);
+        let mut withdrawn = Vec::new();
+        for (task, state) in (0u64..).zip(&self.merge_state) {
+            match state {
+                MergeState::Merged(id) => {
+                    codec::put_task(&mut file, TaskId(task));
+                    codec::put_u32(&mut file, rank[*id as usize]);
+                }
+                MergeState::Withdrawn => withdrawn.push(task),
+                MergeState::Free | MergeState::Grouped => {}
+            }
         }
-        codec::put_tasklets(&mut file, self.withdrawn_outputs.iter().map(|t| t.0));
+        codec::put_tasklets(&mut file, withdrawn.into_iter());
         codec::put_u64(&mut file, self.next_merge);
         self.put_ledger(&mut file, MASTER_TAG);
         codec::put_accounting(&mut file, &self.accounting);

@@ -12,11 +12,16 @@
 //!   queue: a slab of event slots addressed by a packed
 //!   `(generation, index)` [`EventId`], a circular wheel of near-future
 //!   buckets (2^20 µs ≈ 1.05 s wide, 4096 buckets ≈ 73 min per round), a
-//!   round-indexed overflow map for the far future, and an exactly-sorted
-//!   cursor map for the bucket being drained. Same-instant events are
-//!   FIFO by construction (buckets are append-ordered), cancellation is
-//!   O(1) and in place (the slot is blanked; no tombstone set grows), and
-//!   schedule/pop are O(1) amortised off the `BTreeMap` paths.
+//!   round-indexed overflow map for the far future, and a sorted run for
+//!   the bucket being drained. When the cursor reaches a bucket, its live
+//!   slots are stable-sorted by instant into a `Vec` with the next event
+//!   at the back, so same-instant events keep their schedule order (FIFO)
+//!   and a pop is a `Vec::pop`. A schedule at or behind the cursor is a
+//!   binary search plus a shift of the entries due before it: short for
+//!   the common schedule near `now`, the whole run at worst.
+//!   Cancellation is O(1) and in place (the slot is blanked; no tombstone
+//!   set grows). The far-round map is the only ordered tree, touched once
+//!   per 71.6-minute round rather than once per event.
 //! * [`EngineKind::ReferenceHeap`] — the original
 //!   `BinaryHeap<Reverse<Scheduled>>` with a tombstone `HashSet`, kept as
 //!   the executable specification. `tests/engine_diff.rs` pins the two
@@ -30,7 +35,7 @@
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 // simlint::allow(no-unordered-iteration): tombstone set is insert/remove/contains only
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 /// Identifier of a scheduled event, usable for cancellation.
 ///
@@ -203,18 +208,16 @@ struct Calendar<E> {
     cancelled: usize,
     /// Near wheel: one append-ordered vector of slot indices per bucket of
     /// the cursor's current round. Only buckets strictly after the cursor
-    /// hold events; the cursor bucket itself is exploded into `cur`.
+    /// hold events; the cursor bucket itself is sealed into `cur`.
     near: Vec<Vec<u32>>,
     near_len: usize,
-    /// Exactly-sorted view of the cursor bucket plus anything scheduled at
-    /// or behind the cursor (possible after a peek advanced it): instant →
-    /// FIFO queue of slot indices. Every entry here precedes every event
-    /// still in `near`/`far`, so the global minimum is `cur`'s first key.
-    cur: BTreeMap<u64, VecDeque<u32>>,
-    /// Emptied per-instant FIFOs, kept for reuse so `cur` does not
-    /// allocate a fresh deque for every distinct instant it sees.
-    dq_pool: Vec<VecDeque<u32>>,
-    cur_len: usize,
+    /// The cursor bucket plus anything scheduled at or behind the cursor
+    /// (possible after a peek advanced it), as a sorted run of
+    /// `(instant, slot)` pairs: instants descend, and equal instants sit
+    /// in reverse schedule order, so the next event is `last()` and ties
+    /// pop FIFO. Every entry here precedes every event still in
+    /// `near`/`far`.
+    cur: Vec<(u64, u32)>,
     cur_round: u64,
     cur_bucket: usize,
     /// Far future: wheel round → slot indices in schedule order. Scattered
@@ -232,9 +235,7 @@ impl<E> Calendar<E> {
             cancelled: 0,
             near: (0..NEAR_BUCKETS).map(|_| Vec::new()).collect(),
             near_len: 0,
-            cur: BTreeMap::new(),
-            dq_pool: Vec::new(),
-            cur_len: 0,
+            cur: Vec::new(),
             cur_round: 0,
             cur_bucket: 0,
             far: BTreeMap::new(),
@@ -274,12 +275,11 @@ impl<E> Calendar<E> {
         let b = (at >> BUCKET_SHIFT) as usize & (NEAR_BUCKETS - 1);
         if r < self.cur_round || (r == self.cur_round && b <= self.cur_bucket) {
             // At or behind the cursor (the cursor may sit ahead of `now`
-            // after a peek). `cur` keeps exact order, so nothing is lost.
-            self.cur
-                .entry(at)
-                .or_insert_with(|| self.dq_pool.pop().unwrap_or_default())
-                .push_back(idx);
-            self.cur_len += 1;
+            // after a peek). Inserting below every entry of the same
+            // instant keeps ties FIFO; an event at `now` lands next to the
+            // back, so the shift is short on the common path.
+            let pos = self.cur.partition_point(|&(t, _)| t > at);
+            self.cur.insert(pos, (at, idx));
         } else if r == self.cur_round {
             self.near[b].push(idx);
             self.near_len += 1;
@@ -313,26 +313,26 @@ impl<E> Calendar<E> {
         self.free.push(idx);
     }
 
-    /// Explode near-wheel bucket `b` into the sorted cursor map, sweeping
-    /// cancelled slots instead of moving them. The bucket's allocation is
-    /// kept for reuse.
+    /// Seal near-wheel bucket `b` into the (empty) cursor run, sweeping
+    /// cancelled slots instead of moving them. A stable ascending sort
+    /// keeps equal instants in bucket (schedule) order, and the reversal
+    /// puts the earliest at the back. The bucket's allocation is kept for
+    /// reuse.
     fn seal(&mut self, b: usize) {
-        let items = std::mem::take(&mut self.near[b]);
+        debug_assert!(self.cur.is_empty(), "sealing over a non-empty cursor");
+        let mut items = std::mem::take(&mut self.near[b]);
         self.near_len -= items.len();
         for &idx in &items {
             let s = &self.slots[idx as usize];
             if s.ev.is_some() {
-                self.cur
-                    .entry(s.at)
-                    .or_insert_with(|| self.dq_pool.pop().unwrap_or_default())
-                    .push_back(idx);
-                self.cur_len += 1;
+                self.cur.push((s.at, idx));
             } else {
                 self.cancelled -= 1;
                 self.release(idx);
             }
         }
-        let mut items = items;
+        self.cur.sort_by_key(|&(at, _)| at);
+        self.cur.reverse();
         items.clear();
         self.near[b] = items;
     }
@@ -341,7 +341,7 @@ impl<E> Calendar<E> {
     /// exhausted. Returns `false` when nothing is left anywhere.
     fn advance(&mut self) -> bool {
         loop {
-            if self.cur_len > 0 {
+            if !self.cur.is_empty() {
                 return true;
             }
             if self.near_len > 0 {
@@ -386,71 +386,38 @@ impl<E> Calendar<E> {
         }
     }
 
+    /// Take the cursor's head off the run, reclaiming its slot: the event
+    /// if it was live, `None` for a swept tombstone.
+    fn take_head(&mut self) -> Option<(SimTime, E)> {
+        let (at, idx) = self.cur.pop()?;
+        let ev = self.slots[idx as usize].ev.take();
+        match ev {
+            Some(_) => self.live -= 1,
+            None => self.cancelled -= 1,
+        }
+        self.release(idx);
+        ev.map(|ev| (SimTime::from_micros(at), ev))
+    }
+
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            if !self.advance() {
-                return None;
-            }
-            let (at, idx) = {
-                let Some(mut entry) = self.cur.first_entry() else {
-                    return None; // unreachable: advance() saw cur_len > 0
-                };
-                let at = *entry.key();
-                let dq = entry.get_mut();
-                let Some(idx) = dq.pop_front() else {
-                    // unreachable: per-instant FIFOs are never empty
-                    self.dq_pool.push(entry.remove());
-                    continue;
-                };
-                if dq.is_empty() {
-                    self.dq_pool.push(entry.remove());
-                }
-                (at, idx)
-            };
-            self.cur_len -= 1;
-            match self.slots[idx as usize].ev.take() {
-                Some(ev) => {
-                    self.live -= 1;
-                    self.release(idx);
-                    return Some((SimTime::from_micros(at), ev));
-                }
-                None => {
-                    self.cancelled -= 1;
-                    self.release(idx);
-                }
+        while self.advance() {
+            if let Some(next) = self.take_head() {
+                return Some(next);
             }
         }
+        None
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            if !self.advance() {
-                return None;
+        while self.advance() {
+            let &(at, idx) = self.cur.last()?;
+            if self.slots[idx as usize].ev.is_some() {
+                return Some(SimTime::from_micros(at));
             }
-            let swept = {
-                let Some(mut entry) = self.cur.first_entry() else {
-                    return None; // unreachable: advance() saw cur_len > 0
-                };
-                let at = *entry.key();
-                let Some(&idx) = entry.get().front() else {
-                    // unreachable: per-instant FIFOs are never empty
-                    self.dq_pool.push(entry.remove());
-                    continue;
-                };
-                if self.slots[idx as usize].ev.is_some() {
-                    return Some(SimTime::from_micros(at));
-                }
-                // Sweep the cancelled head and keep looking.
-                entry.get_mut().pop_front();
-                if entry.get().is_empty() {
-                    self.dq_pool.push(entry.remove());
-                }
-                idx
-            };
-            self.cur_len -= 1;
-            self.cancelled -= 1;
-            self.release(swept);
+            // Sweep the cancelled head and keep looking.
+            self.take_head();
         }
+        None
     }
 
     /// Pop the next live event if it fires at or before `deadline`; a
@@ -458,41 +425,16 @@ impl<E> Calendar<E> {
     /// the deadline, exactly as [`Calendar::peek_time`] would. One cursor
     /// walk instead of peek-then-pop.
     fn pop_at_most(&mut self, deadline: u64) -> Option<(SimTime, E)> {
-        loop {
-            if !self.advance() {
+        while self.advance() {
+            let &(at, idx) = self.cur.last()?;
+            if at > deadline && self.slots[idx as usize].ev.is_some() {
                 return None;
             }
-            let (at, idx, live) = {
-                let Some(mut entry) = self.cur.first_entry() else {
-                    return None; // unreachable: advance() saw cur_len > 0
-                };
-                let at = *entry.key();
-                let Some(&idx) = entry.get().front() else {
-                    // unreachable: per-instant FIFOs are never empty
-                    self.dq_pool.push(entry.remove());
-                    continue;
-                };
-                let live = self.slots[idx as usize].ev.is_some();
-                if live && at > deadline {
-                    return None;
-                }
-                let dq = entry.get_mut();
-                dq.pop_front();
-                if dq.is_empty() {
-                    self.dq_pool.push(entry.remove());
-                }
-                (at, idx, live)
-            };
-            self.cur_len -= 1;
-            if live {
-                let ev = self.slots[idx as usize].ev.take().expect("checked live");
-                self.live -= 1;
-                self.release(idx);
-                return Some((SimTime::from_micros(at), ev));
+            if let Some(next) = self.take_head() {
+                return Some(next);
             }
-            self.cancelled -= 1;
-            self.release(idx);
         }
+        None
     }
 }
 

@@ -153,10 +153,12 @@ proptest! {
     /// The `free_hot`/`free_cold` indexes vs a naive model: after every
     /// connect / claim / release / evict / cache-heat operation, the
     /// maintained index sets are *exactly* the sets a full recomputed
-    /// scan of the worker table produces, and a claim never returns a
-    /// worker without a free slot.
+    /// scan of the worker table produces, and a claim returns the
+    /// smallest free worker (hot first). The churn ops connect whole
+    /// words of workers, drain every free slot and hand them all back,
+    /// so the lowest-word hint moves past emptied words and back down.
     #[test]
-    fn free_index_matches_naive_scan(ops in prop::collection::vec(0u8..5, 1..400)) {
+    fn free_index_matches_naive_scan(ops in prop::collection::vec(0u8..8, 1..400)) {
         use std::collections::BTreeSet;
         let mut t = WorkerTable::new();
         let mut claimed: Vec<u64> = Vec::new();
@@ -174,10 +176,18 @@ proptest! {
                     known.push(t.connect(1 + (next() % 4) as u32, 0, SimTime::ZERO));
                 }
                 1 => {
-                    // The claim must pick a worker the scan says has room.
+                    // The claim must pick the smallest worker the scan
+                    // says has room, hot ones first.
                     let scan_free: BTreeSet<u64> =
                         t.iter().filter(|w| w.free() > 0).map(|w| w.id).collect();
-                    if let Some(w) = t.claim_slot() {
+                    let smallest = t
+                        .iter()
+                        .filter(|w| w.free() > 0)
+                        .min_by_key(|w| (!w.cache_hot, w.id))
+                        .map(|w| w.id);
+                    let got = t.claim_slot();
+                    prop_assert_eq!(got, smallest, "claim skipped the smallest free worker");
+                    if let Some(w) = got {
                         prop_assert!(
                             scan_free.contains(&w),
                             "claimed {} which had zero free slots", w
@@ -199,13 +209,35 @@ proptest! {
                         t.set_cache_hot(w); // may target an evicted id: no-op
                     }
                 }
-                _ => {
+                4 => {
                     if !known.is_empty() {
                         let idx = (next() as usize) % known.len();
                         let w = known.swap_remove(idx);
                         t.disconnect(w);
                         claimed.retain(|&x| x != w);
                     }
+                }
+                5 => {
+                    // A word's worth of single-core workers at once.
+                    for _ in 0..64 {
+                        known.push(t.connect(1, 0, SimTime::ZERO));
+                    }
+                }
+                6 => {
+                    // Drain: every free slot is claimed, so every word
+                    // of both indexes empties, lowest first.
+                    while let Some(w) = t.claim_slot() {
+                        claimed.push(w);
+                    }
+                    prop_assert_eq!(t.free_slots(), 0);
+                }
+                _ => {
+                    // Refill: hand back every claimed slot, lowest words
+                    // included, so the hint has to move back down.
+                    for w in claimed.drain(..) {
+                        t.release_slot(w);
+                    }
+                    prop_assert_eq!(t.busy_slots(), 0);
                 }
             }
             // Recompute both index sets from scratch and require exact
