@@ -4,7 +4,13 @@
 #   ./ci.sh            # full gate: fmt, clippy, simlint, tests
 #   ./ci.sh --fast     # skip clippy (useful while iterating)
 #
-# Every step must pass; the script stops at the first failure.
+# Every step must pass; the script stops at the first failure. A run
+# leaves the tree clean: the gated benches write their results to
+# target/bench/ and only read the committed BENCH_*.json baselines.
+# Re-recording a baseline is an explicit step, done at an unchanged
+# parent commit so the new numbers measure the host, not a change: run
+# the bench there, copy target/bench/BENCH_<name>.json over the
+# committed file, and commit that copy on its own.
 
 set -eu
 
@@ -55,21 +61,22 @@ step cargo run -q --release -p lobster-bench --bin bench_cluster
 step cargo run -q --release -p lobster --bin lobster -- \
     dashboard METRICS_cluster.json --out DASHBOARD_cluster.html
 
-# Scale-campaign sweep (2.5k -> 20k cores with fault windows). Rewrites
-# BENCH_scale.json and fails if any sweep point loses more than 20% of
-# the committed baseline's events/sec.
+# Scale-campaign sweep (2.5k -> 20k cores with fault windows). Writes
+# target/bench/BENCH_scale.json and fails if any sweep point loses more
+# than 20% of the committed BENCH_scale.json's events/sec.
 step cargo run -q --release -p lobster-bench --bin bench_scale
 
-# Recovery bench: WAL v3 snapshot+tail vs full replay. Rewrites
-# BENCH_recovery.json and fails on a resume over 100 ms, a >20%
-# resume-latency regression vs the committed baseline, or any growth of
-# either leg's journal bytes (both are exact, seeded baselines).
+# Recovery bench: WAL v3 snapshot+tail vs full replay. Writes
+# target/bench/BENCH_recovery.json and fails on a resume over 100 ms, a
+# >20% resume-latency regression vs the committed BENCH_recovery.json,
+# or any growth of either leg's journal bytes (both are exact, seeded
+# baselines).
 step cargo run -q --release -p lobster-bench --bin bench_recovery
 
-# Multi-tenant sweep (1 -> 100 masters over one shared pool). Rewrites
-# BENCH_multitenant.json; fails if any contended point's Jain fairness
-# drops below 0.9 or any point loses more than 20% of the committed
-# baseline's events/sec.
+# Multi-tenant sweep (1 -> 100 masters over one shared pool). Writes
+# target/bench/BENCH_multitenant.json; fails if any contended point's
+# Jain fairness drops below 0.9 or any point loses more than 20% of the
+# committed BENCH_multitenant.json's events/sec.
 step cargo run -q --release -p lobster-bench --bin bench_multitenant
 
 # Crash-consistency smoke: the sampled crash-point matrix (boundary,

@@ -3,8 +3,9 @@
 //! These quantify the costs that make whole-cluster simulation cheap:
 //! event-queue throughput, O(log n) fair-link operations, queueing-station
 //! offers, the concurrent worker cache, the Map-Reduce engine, one
-//! point of the §4.1 task-size Monte Carlo, and the Lobster DB's merge
-//! bookkeeping.
+//! point of the §4.1 task-size Monte Carlo, the Lobster DB's merge
+//! bookkeeping and its journaled apply + group commit, and one
+//! fair-share arbiter round.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use simkit::prelude::*;
@@ -216,6 +217,69 @@ fn bench_db_merge_bookkeeping(c: &mut Criterion) {
     });
 }
 
+/// The journaled db on the collect path under the default
+/// `JournalPolicy` (group commit every 64 records or 128 KiB, a snapshot
+/// every 4096 records per file), in a temp directory: 10k tasks are
+/// created, started and finished and their attempts recorded. That is
+/// 40k records, seven compactions of the shard file and two of
+/// `master.wal`.
+fn bench_db_journaled_apply_commit(c: &mut Criterion) {
+    use lobster::config::JournalPolicy;
+    use lobster::db::LobsterDb;
+    use lobster::wrapper::SegmentReport;
+    use wqueue::task::{Category, TaskTimes};
+    const TASKS: u64 = 10_000;
+    let dir = std::env::temp_dir().join(format!("lobster-bench-journal-{}", std::process::id()));
+    c.bench_function("db/journaled_apply_commit", |b| {
+        b.iter(|| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut db =
+                LobsterDb::open_with_policy(&dir, &JournalPolicy::default()).expect("journal dir");
+            db.register_workflow("wf", TASKS);
+            while let Some(task) = db.create_task("wf", 1) {
+                db.mark_running(task).expect("run");
+                db.mark_done(task, 1_000).expect("done");
+                db.record_attempt(&SegmentReport {
+                    task,
+                    category: Category::Analysis,
+                    attempt: 0,
+                    worker: task.0 % 64,
+                    times: TaskTimes {
+                        cpu: SimDuration::from_mins(10),
+                        ..TaskTimes::default()
+                    },
+                    failed_segment: None,
+                    watchdog: false,
+                    evicted: false,
+                    dispatched_at: SimTime::ZERO,
+                    finished_at: SimTime::from_secs(600),
+                    output_bytes: 1_000,
+                });
+            }
+            db.flush();
+            black_box(db.records_since_snapshot())
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One fair-share round over 100 tenants of uneven weight and demand
+/// for a 1024-core pool: the arbiter's per-round cost on the multi-tenant
+/// path. Charged usage carries over between iterations, as it does
+/// between rounds.
+fn bench_arbiter_allocate(c: &mut Criterion) {
+    use batchsim::arbiter::{ArbiterConfig, FairShareArbiter};
+    const TENANTS: u32 = 100;
+    let mut arbiter = FairShareArbiter::new(ArbiterConfig::default());
+    for i in 0..TENANTS {
+        arbiter.register(f64::from(1 + i % 4));
+    }
+    let demands: Vec<u32> = (0..TENANTS).map(|i| 8 + (i * 37) % 64).collect();
+    c.bench_function("arbiter/allocate_100", |b| {
+        b.iter(|| black_box(arbiter.allocate(black_box(1024), black_box(&demands))))
+    });
+}
+
 /// A small end-to-end cluster simulation.
 fn bench_cluster_sim(c: &mut Criterion) {
     use batchsim::availability::AvailabilityModel;
@@ -267,6 +331,7 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_engine, bench_engine_same_bucket, bench_fair_link, bench_server,
               bench_worker_cache, bench_mapreduce, bench_tasksize,
-              bench_db_merge_bookkeeping, bench_cluster_sim
+              bench_db_merge_bookkeeping, bench_db_journaled_apply_commit,
+              bench_arbiter_allocate, bench_cluster_sim
 }
 criterion_main!(benches);

@@ -5,11 +5,13 @@
 //! campaign under equal fair-share weights, so Jain's index over
 //! weight-normalised delivered CPU should stay near 1 at every point.
 //!
-//! Two gates, applied after `BENCH_multitenant.json` is (re)written:
+//! Results go to `target/bench/BENCH_multitenant.json`; the committed
+//! `BENCH_multitenant.json` is the baseline and no run rewrites it (see
+//! [`lobster_bench::write_fresh_results`]). Two gates:
 //!
 //! * **Fairness** — any contended point (≥2 tenants) whose Jain index
 //!   falls below 0.9 fails the run (exit 1).
-//! * **Throughput** — if a committed baseline was present, any point
+//! * **Throughput** — if the committed baseline is present, any point
 //!   whose aggregate events/sec regresses by more than 20% fails.
 
 use batchsim::arbiter::ArbiterConfig;
@@ -17,6 +19,7 @@ use batchsim::pool::PoolConfig;
 use lobster::config::{LobsterConfig, WorkflowConfig};
 use lobster::driver::SimParams;
 use lobster::workflow::Workflow;
+use lobster_bench::write_fresh_results;
 use serde::Serialize;
 use simkit::time::SimDuration;
 use tenancy::{MultiTenant, TenancyConfig, TenantSpec};
@@ -133,8 +136,7 @@ fn read_baseline(path: &str) -> Vec<(usize, f64)> {
 }
 
 fn main() {
-    let out_path = "BENCH_multitenant.json";
-    let baseline = read_baseline(out_path);
+    let baseline = read_baseline("BENCH_multitenant.json");
 
     let mut points = Vec::new();
     for &n in &SWEEP_TENANTS {
@@ -199,9 +201,10 @@ fn main() {
         points,
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write(out_path, &json).expect("writable cwd");
+    let out_path = write_fresh_results("BENCH_multitenant.json", &json).expect("writable target/");
     println!("== bench_multitenant (seed {SEED}, {TASKLETS_PER_TENANT} tasklets/tenant) ==");
     println!("{json}");
+    println!("wrote {}", out_path.display());
 
     // Fairness gate: equal weights must split the pool evenly wherever
     // there is actual contention.
@@ -216,8 +219,7 @@ fn main() {
         }
     }
 
-    // Regression gate: compare against the committed baseline (the file
-    // as it stood before this run overwrote it).
+    // Regression gate: compare against the committed baseline.
     for (tenants, old_eps) in &baseline {
         let Some(new) = result.points.iter().find(|p| p.tenants == *tenants) else {
             continue;

@@ -15,6 +15,9 @@
 //! 2. against the committed `BENCH_recovery.json`: a >20% resume-latency
 //!    regression, or any growth of either leg's journal bytes, fails.
 //!
+//! Results go to `target/bench/BENCH_recovery.json`; no run rewrites the
+//! committed baseline (see [`lobster_bench::write_fresh_results`]).
+//!
 //! The run is fully seeded, so both journals are byte-deterministic: the
 //! full-replay leg pins the codec and batch framing, the snapshot+tail
 //! leg adds snapshot compaction and group commit.
@@ -27,6 +30,7 @@ use lobster::db::{journal_bytes, LobsterDb};
 use lobster::driver::{ClusterSim, SimParams};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
+use lobster_bench::write_fresh_results;
 use serde::Serialize;
 use simkit::time::SimDuration;
 use std::path::PathBuf;
@@ -164,8 +168,7 @@ fn read_baseline(path: &str) -> Option<(f64, u64, u64)> {
 const MAX_REGRESSION: f64 = 0.20;
 
 fn main() {
-    let out_path = "BENCH_recovery.json";
-    let baseline = read_baseline(out_path);
+    let baseline = read_baseline("BENCH_recovery.json");
     let replay_path = journal_path("full-replay");
     let snap_path = journal_path("snapshot-tail");
 
@@ -228,10 +231,11 @@ fn main() {
         speedup: replay_secs / snap_secs.max(1e-9),
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write(out_path, &json).expect("writable cwd");
+    let out_path = write_fresh_results("BENCH_recovery.json", &json).expect("writable target/");
 
     println!("== bench_recovery (seed {SEED}) ==");
     println!("{json}");
+    println!("wrote {}", out_path.display());
 
     let mut failed = false;
     if replay_secs <= snap_secs {
@@ -248,10 +252,10 @@ fn main() {
         );
         failed = true;
     }
-    // Regression gate against the committed baseline (the file as it
-    // stood before this run overwrote it). The run is fully seeded, so
-    // the journals are byte-deterministic: any size growth is a real
-    // format/policy change and fails, not just a noisy measurement.
+    // Regression gate against the committed baseline. The run is fully
+    // seeded, so the journals are byte-deterministic: any size growth is
+    // a real format/policy change and fails, not just a noisy
+    // measurement.
     if let Some((old_secs, old_replay_bytes, old_snap_bytes)) = baseline {
         let ceiling = old_secs * (1.0 + MAX_REGRESSION);
         if snap_secs > ceiling {

@@ -9,9 +9,10 @@
 //!
 //! For every sweep point it records events/sec, wall time, and a peak-RSS
 //! proxy from a counting global allocator. Results go to
-//! `BENCH_scale.json`; if a committed baseline is present, any sweep
-//! point whose events/sec regresses by more than 20% fails the run
-//! (exit 1) after the new numbers are written.
+//! `target/bench/BENCH_scale.json`; if the committed `BENCH_scale.json`
+//! baseline is present, any sweep point whose events/sec regresses by
+//! more than 20% against it fails the run (exit 1). The baseline is never
+//! rewritten by a run (see [`lobster_bench::write_fresh_results`]).
 
 // The counting allocator below must implement `GlobalAlloc`, which is an
 // unsafe trait; the workspace otherwise denies unsafe code.
@@ -24,6 +25,7 @@ use lobster::driver::{ClusterSim, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
+use lobster_bench::write_fresh_results;
 use serde::Serialize;
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageSchedule};
@@ -199,8 +201,7 @@ fn read_baseline(path: &str) -> Vec<(u32, f64)> {
 }
 
 fn main() {
-    let out_path = "BENCH_scale.json";
-    let baseline = read_baseline(out_path);
+    let baseline = read_baseline("BENCH_scale.json");
 
     let mut points = Vec::new();
     for &cores in &SWEEP_CORES {
@@ -246,12 +247,12 @@ fn main() {
         points,
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write(out_path, &json).expect("writable cwd");
+    let out_path = write_fresh_results("BENCH_scale.json", &json).expect("writable target/");
     println!("== bench_scale (seed {SEED}, {TASKLETS_PER_CORE} tasklets/core) ==");
     println!("{json}");
+    println!("wrote {}", out_path.display());
 
-    // Regression gate: compare against the committed baseline (the file
-    // as it stood before this run overwrote it).
+    // Regression gate: compare against the committed baseline.
     let mut failed = false;
     for (cores, old_eps) in &baseline {
         let Some(new) = result.points.iter().find(|p| p.cores == *cores) else {

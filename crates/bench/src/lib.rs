@@ -16,6 +16,21 @@ use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageSchedule};
+use std::path::{Path, PathBuf};
+
+/// Write a gated bench's results for this run to `target/bench/<name>`
+/// and return that path. The committed `<name>` at the repository root
+/// is the baseline the gate reads, and no run rewrites it: a slow or
+/// failed run cannot become the next baseline. Re-recording a baseline
+/// is an explicit copy of this file over it, made at an unchanged parent
+/// commit.
+pub fn write_fresh_results(name: &str, json: &str) -> std::io::Result<PathBuf> {
+    let dir = Path::new("target").join("bench");
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(name);
+    std::fs::write(&path, json)?;
+    Ok(path)
+}
 
 /// Scale factor for quick smoke runs (`LOBSTER_SCALE=0.02` etc.). 1.0
 /// reproduces the paper-scale runs.

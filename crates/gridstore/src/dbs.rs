@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 use simkit::rng::SimRng;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A contiguous range of luminosity sections within one run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -153,8 +154,13 @@ impl Dbs {
             next_lumi += spec.lumis_per_file;
             // File sizes vary ±50% around the mean.
             let bytes = (spec.mean_file_bytes as f64 * rng.range_f64(0.5, 1.5)).round() as u64;
+            // `/store`, `/file_`, six digits and `.root` add 23 bytes to
+            // the name (24 leaves room for a seventh digit): one
+            // allocation per LFN instead of a regrowing buffer.
+            let mut lfn = String::with_capacity(name.len() + 24);
+            let _ = write!(lfn, "/store{name}/file_{i:06}.root");
             files.push(LogicalFile {
-                lfn: format!("/store{}/file_{i:06}.root", name),
+                lfn,
                 bytes,
                 events: spec.events_per_lumi as u64 * spec.lumis_per_file as u64,
                 lumis,
@@ -193,6 +199,7 @@ mod tests {
         let (da, db) = (a.query("/TT/x/AOD").unwrap(), b.query("/TT/x/AOD").unwrap());
         assert_eq!(da.total_bytes(), db.total_bytes());
         assert_eq!(da.files[500].lfn, db.files[500].lfn);
+        assert_eq!(da.files[500].lfn, "/store/TT/x/AOD/file_000500.root");
         assert_eq!(da.files[500].bytes, db.files[500].bytes);
     }
 

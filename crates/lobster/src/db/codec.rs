@@ -655,10 +655,7 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
             put_str(buf, into);
             put_u64(buf, *bytes);
         }
-        Record::Attempt { report } => {
-            buf.push(tag::ATTEMPT);
-            put_report(buf, report);
-        }
+        Record::Attempt { report } => encode_attempt(buf, report),
         Record::Backoff { wait } => {
             buf.push(tag::BACKOFF);
             put_dur(buf, *wait);
@@ -677,6 +674,13 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
             put_master_snap(buf, state);
         }
     }
+}
+
+/// Append the encoding of `Record::Attempt { report }` without building
+/// the record.
+pub(crate) fn encode_attempt(buf: &mut Vec<u8>, report: &SegmentReport) {
+    buf.push(tag::ATTEMPT);
+    put_report(buf, report);
 }
 
 /// Decode one record at the reader's position.

@@ -504,7 +504,8 @@ impl LobsterDb {
     }
 
     /// Compact every shard file (and `master.wal`) into a single
-    /// snapshot frame each. Bounds future replay cost.
+    /// snapshot frame each. Bounds future replay cost. Returns once every
+    /// file is rewritten on disk.
     pub fn compact(&mut self) -> io::Result<()> {
         let tags = match self.journal.as_ref() {
             Some(j) => j.tags(),
@@ -513,11 +514,15 @@ impl LobsterDb {
         for tag in tags {
             self.compact_file(tag)?;
         }
-        Ok(())
+        match self.journal.as_mut() {
+            Some(j) => j.flush(),
+            None => Ok(()),
+        }
     }
 
-    /// Rewrite one shard file as header + one snapshot frame (tmp file,
-    /// fsync, atomic rename). Pending group-commit buffers are flushed
+    /// Rewrite one shard file as header + one snapshot frame: the record
+    /// is encoded here, the file is written off this thread
+    /// ([`Journal::compact`]). Pending group-commit buffers are flushed
     /// first — a snapshot is a durability boundary.
     fn compact_file(&mut self, tag: u32) -> io::Result<()> {
         if self.journal.is_none() {
@@ -536,9 +541,9 @@ impl LobsterDb {
         }
     }
 
-    /// Commit all buffered journal records to disk — the explicit
-    /// durability boundary (the driver calls this at crash points and
-    /// before reporting).
+    /// Commit all buffered journal records to disk and finish any
+    /// compaction in flight — the explicit durability boundary (the
+    /// driver calls this at crash points and before reporting).
     pub fn flush(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             // A failed WAL write is unrecoverable by design (footnote 1
@@ -546,30 +551,51 @@ impl LobsterDb {
             // preserves the durable prefix, whereas continuing would
             // fork memory from disk.
             // simlint::allow(no-panic-in-lib): WAL commit failure is fatal by design
-            j.commit().expect("journal write");
+            j.flush().expect("journal write");
         }
     }
 
     /// Simulated crash *inside* the group-commit window: buffered
     /// records are dropped without reaching disk, as a real crash would
-    /// lose them. The files stay at the last commit boundary.
+    /// lose them. The files stay at the last commit boundary, with a
+    /// compaction in flight finished as [`LobsterDb::flush`] would.
     pub fn crash(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             j.abandon();
         }
+        self.flush();
     }
 
-    /// Buffer one record for `tag`'s shard file, committing the group
-    /// when the policy thresholds are crossed.
-    fn log_to(&mut self, tag: Option<u32>, rec: &Record) {
+    /// Buffer one record for `tag`'s shard file (`encode` appends its
+    /// bytes), committing the group when the policy thresholds are
+    /// crossed.
+    fn log_to(&mut self, tag: Option<u32>, encode: impl FnOnce(&mut Vec<u8>)) {
         let Some(tag) = tag else { return };
         if let Some(j) = self.journal.as_mut() {
             // See `flush` for why WAL failures are fatal.
             // simlint::allow(no-panic-in-lib): WAL append failure is fatal by design
-            let full = j.append(tag, rec).expect("journal write");
+            let full = j.append(tag, encode).expect("journal write");
             if full {
                 // simlint::allow(no-panic-in-lib): WAL commit failure is fatal by design
                 j.commit().expect("journal write");
+            }
+        }
+    }
+
+    /// Compact `tag`'s file once its replay tail reaches the policy's
+    /// snapshot threshold.
+    fn compact_if_due(&mut self, tag: Option<u32>) {
+        if let (Some(n), Some(tag)) = (self.snapshot_every, tag) {
+            if self
+                .journal
+                .as_ref()
+                .is_some_and(|j| j.tail_records(tag) >= n)
+            {
+                // Compaction failure would strand an unbounded journal
+                // while memory marches on; same fatal-by-design stance as
+                // a failed append.
+                // simlint::allow(no-panic-in-lib): WAL compaction failure is fatal by design
+                self.compact_file(tag).expect("journal compaction");
             }
         }
     }
@@ -778,25 +804,13 @@ impl LobsterDb {
         } else {
             None
         };
-        self.log_to(tag, &rec);
+        self.log_to(tag, |buf| codec::encode_record(buf, &rec));
         // The log-then-apply wrapper is the one sanctioned entry into
         // the replay path: the record is durable (or buffered toward the
         // next commit boundary) before the in-memory state changes.
         // simlint::allow(journal-coverage): sanctioned log-then-apply entry point
         self.apply(rec);
-        if let (Some(n), Some(tag)) = (self.snapshot_every, tag) {
-            if self
-                .journal
-                .as_ref()
-                .is_some_and(|j| j.tail_records(tag) >= n)
-            {
-                // Compaction failure would strand an unbounded journal
-                // while memory marches on; same fatal-by-design stance as
-                // a failed append.
-                // simlint::allow(no-panic-in-lib): WAL compaction failure is fatal by design
-                self.compact_file(tag).expect("journal compaction");
-            }
-        }
+        self.compact_if_due(tag);
     }
 
     /// The shard slice of workflow `wf` as a snapshot frame — the test
@@ -1270,16 +1284,15 @@ impl LobsterDb {
 
     /// Journal one attempt report into the durable accounting.
     pub fn record_attempt(&mut self, report: &SegmentReport) {
-        if self.journal.is_some() {
-            self.apply_and_log(Record::Attempt {
-                report: Box::new(report.clone()),
-            });
-        } else {
-            // In-memory mode: apply directly, skipping the per-attempt
-            // `Box` + clone a journal record would cost on the hot path.
-            // simlint::allow(journal-coverage): in-memory fast path gated on journal absence
-            self.apply_attempt(report);
-        }
+        // `route` sends every `Record::Attempt` to `master.wal`. Encoding
+        // from the borrow writes that record's bytes without the
+        // per-attempt `Box` + clone building it would cost on the hot
+        // path.
+        let tag = self.journal.is_some().then_some(MASTER_TAG);
+        self.log_to(tag, |buf| codec::encode_attempt(buf, report));
+        // simlint::allow(journal-coverage): log-then-apply of Record::Attempt, logged just above
+        self.apply_attempt(report);
+        self.compact_if_due(tag);
     }
 
     /// Journal time spent in a backoff wait.
