@@ -90,8 +90,9 @@ step cargo test --release -q -p lobster --test crash_matrix
 step cargo test --release -q -p lobster --test crash_matrix -- --ignored
 
 # The benchmark's own tests (perfbench/ is a separate cargo workspace):
-# its copy of the drive loop must stay equal to ClusterSim's, so a driver
-# change that drifts from it fails here.
+# its copy of the drive loop is pinned to lobster::Session through the
+# three ClusterSim wrappers kept for it (run, run_durable_until_crash,
+# resume_run), so a driver change that drifts from it fails here.
 step cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 # Chaos-sweep conformance: every scenarios/*.json library file plus ten

@@ -30,6 +30,7 @@ use lobster::db::{journal_bytes, LobsterDb};
 use lobster::driver::{ClusterSim, SimParams};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
+use lobster::Session;
 use lobster_bench::write_fresh_results;
 use serde::Serialize;
 use simkit::time::SimDuration;
@@ -174,7 +175,10 @@ fn main() {
 
     let (cfg, params, wfs) = setup(JournalPolicy::never());
     let started = std::time::Instant::now();
-    let full = ClusterSim::run_durable(cfg, params, wfs, &replay_path).expect("durable run");
+    let sim = ClusterSim::durable(cfg, params, wfs, &replay_path).expect("durable run");
+    let mut session = Session::start(sim);
+    session.advance(session.horizon(), u64::MAX);
+    let full = session.finish();
     let run_wall_secs = started.elapsed().as_secs_f64();
 
     // The operating policy: periodic snapshots plus default group commit.
@@ -182,7 +186,10 @@ fn main() {
         snapshot_every_records: Some(SNAPSHOT_EVERY),
         ..JournalPolicy::default()
     });
-    let snap = ClusterSim::run_durable(cfg, params, wfs, &snap_path).expect("durable run");
+    let sim = ClusterSim::durable(cfg, params, wfs, &snap_path).expect("durable run");
+    let mut session = Session::start(sim);
+    session.advance(session.horizon(), u64::MAX);
+    let snap = session.finish();
 
     if full.finished_at.is_none() || snap.finished_at.is_none() {
         eprintln!("bench_recovery: a run did not finish (full {full:?})");

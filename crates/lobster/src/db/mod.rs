@@ -503,6 +503,12 @@ impl LobsterDb {
         Ok(db)
     }
 
+    /// Whether this db journals to disk (opened at a path rather than
+    /// [`LobsterDb::in_memory`]).
+    pub fn is_journaled(&self) -> bool {
+        self.journal.is_some()
+    }
+
     /// Compact every shard file (and `master.wal`) into a single
     /// snapshot frame each. Bounds future replay cost. Returns once every
     /// file is rewritten on disk.

@@ -294,11 +294,12 @@ mod tests {
     use crate::driver::{ClusterSim, SimParams};
     use crate::fault::{Fault, FaultPlan, FaultTarget};
     use crate::merge::MergeMode;
+    use crate::session::{Session, Stop};
     use crate::workflow::Workflow;
     use batchsim::availability::AvailabilityModel;
     use batchsim::pool::PoolConfig;
     use gridstore::dbs::{DatasetSpec, Dbs};
-    use simkit::fault::CrashPoint;
+    use simkit::fault::CrashSite;
     use simkit::time::{SimDuration, SimTime};
     use simnet::outage::{Outage, OutageSchedule};
     use std::path::PathBuf;
@@ -443,20 +444,17 @@ mod tests {
 
         start_audit();
         let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
-            CrashPoint::after_events(whole.events_delivered / 2),
-        )
-        .unwrap();
-        assert!(crashed.is_none(), "the crash lands mid-run");
+        let mut session = Session::start(ClusterSim::durable(cfg, params, wfs, &path).unwrap());
+        let stop = session.advance(session.horizon(), whole.events_delivered / 2);
+        assert_eq!(stop, Stop::Budget, "the crash lands mid-run");
+        session.crash(CrashSite::CommitBoundary);
         let before = take_audit();
 
         start_audit();
         let (cfg, params, wfs) = mk();
-        let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+        let mut session = Session::start(ClusterSim::resume(cfg, params, wfs, &path).unwrap());
+        session.advance(session.horizon(), u64::MAX);
+        let resumed = session.finish();
         let after = take_audit();
         assert!(resumed.finished_at.is_some(), "{resumed:?}");
         std::fs::remove_dir_all(&path).ok();
@@ -488,7 +486,9 @@ mod tests {
         let path = journal_path("dead-letters");
         start_audit();
         let (cfg, params, wfs) = campaign(MergeMode::Interleaved, Some(3), 40);
-        let report = ClusterSim::run_durable(cfg, params, wfs, &path).unwrap();
+        let mut session = Session::start(ClusterSim::durable(cfg, params, wfs, &path).unwrap());
+        session.advance(session.horizon(), u64::MAX);
+        let report = session.finish();
         let log = take_audit();
         std::fs::remove_dir_all(&path).ok();
         assert!(report.finished_at.is_some(), "{report:?}");
@@ -565,7 +565,9 @@ mod tests {
         start_audit();
         let (mut cfg, params, wfs) = campaign(MergeMode::Hadoop, None, 40);
         cfg.merge_target_bytes = 50_000_000;
-        let report = ClusterSim::run_durable(cfg, params, wfs, &path).unwrap();
+        let mut session = Session::start(ClusterSim::durable(cfg, params, wfs, &path).unwrap());
+        session.advance(session.horizon(), u64::MAX);
+        let report = session.finish();
         let log = take_audit();
         std::fs::remove_dir_all(&path).ok();
         assert!(report.finished_at.is_some(), "{report:?}");

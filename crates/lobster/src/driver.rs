@@ -20,6 +20,7 @@ use crate::db::LobsterDb;
 use crate::fault::{FaultPlan, FaultTarget};
 use crate::merge::{MergeMode, MergePlanner};
 use crate::monitor::{Accounting, Advisor, AdvisorConfig, SegmentHistograms, Timeline};
+use crate::session::{Session, Stop};
 use crate::workflow::Workflow;
 use crate::wrapper::{ReportBuilder, Segment, SegmentReport};
 use batchsim::availability::AvailabilityModel;
@@ -30,7 +31,7 @@ use cvmfssim::catalog::ReleaseFootprint;
 use cvmfssim::squid::{Squid, SquidConfig, TimedOut};
 use gridstore::chirp::{ChirpConfig, ChirpDown, ChirpServer};
 use gridstore::xrootd::{Federation, FederationConfig};
-use simkit::fault::{CrashPoint, CrashSite};
+use simkit::fault::CrashPoint;
 use simkit::prelude::*;
 use simkit::queue::Grant;
 use simkit::stats::TimeSeries;
@@ -314,8 +315,8 @@ pub struct RunReport {
     pub events_delivered: u64,
 }
 
-/// A live status sample, pollable mid-run through the ops plane: the
-/// operator's view of a running master without stopping it.
+/// A live status sample ([`crate::Session::status`]): the operator's
+/// view of a running master without stopping it.
 #[derive(Clone, Debug)]
 pub struct OpsStatus {
     /// Simulated instant of the sample.
@@ -336,34 +337,12 @@ pub struct OpsStatus {
     pub dead_letters: u64,
 }
 
-/// What the controller wants after seeing an [`OpsStatus`] sample.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpsRequest {
-    /// Keep running.
-    Continue,
-    /// Stop here: drain the commit window, take a durable checkpoint
-    /// (WAL v3 snapshot + compaction), and return.
-    Pause,
-}
-
-/// Outcome of a run driven through the ops plane.
-#[derive(Debug)]
-pub enum OpsOutcome {
-    /// The run drained (or hit the horizon); the full report.
-    Completed(Box<RunReport>),
-    /// The controller paused the run after a durable checkpoint. The
-    /// journal at the run's path holds everything needed for
-    /// [`ClusterSim::resume_run`] (or another ops-plane resume) to
-    /// continue; the status is the last sample before the pause.
-    Paused(OpsStatus),
-}
-
 /// The cluster simulation model.
 pub struct ClusterSim {
     cfg: LobsterConfig,
-    params: SimParams,
+    pub(crate) params: SimParams,
     rng: SimRng,
-    db: LobsterDb,
+    pub(crate) db: LobsterDb,
     workflows: Vec<Workflow>,
     tasks: TaskTable,
     buffer: DispatchBuffer,
@@ -492,12 +471,24 @@ impl ClusterSim {
     /// re-seeded, so a resumed run's *timing* diverges from the
     /// uninterrupted run — but its accounting converges: the same
     /// tasklets get done, the same bytes get merged.
+    ///
+    /// Fails with `NotFound`, creating nothing, when `path` does not
+    /// exist: a mistyped path must not start the campaign over. A
+    /// directory with no committed record (a crash inside the first
+    /// commit window leaves one) resumes as a fresh run.
     pub fn resume(
         cfg: LobsterConfig,
         params: SimParams,
         workflows: Vec<Workflow>,
         path: impl AsRef<Path>,
     ) -> io::Result<Self> {
+        let path = path.as_ref();
+        if !path.try_exists()? {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no journal at {path:?}; use ClusterSim::durable to start a run"),
+            ));
+        }
         let mut db = LobsterDb::open_with_policy(path, &cfg.journal)?;
         for wf in &workflows {
             if !db.has_workflow(&wf.name) {
@@ -746,19 +737,16 @@ impl ClusterSim {
         self.buffer.push(id);
     }
 
-    /// Run to the horizon and harvest the report.
+    /// Run a fresh in-memory simulation to the horizon.
+    ///
+    /// This and the next two entry points are one-call wrappers over a
+    /// [`Session`]. They stay public because the benchmark's pin test
+    /// (`perfbench/tests/drive.rs`) compares its own drive loop against
+    /// them; they can go once perfbench drives a `Session` itself.
     pub fn run(cfg: LobsterConfig, params: SimParams, workflows: Vec<Workflow>) -> RunReport {
-        Self::drive(Self::new(cfg, params, workflows))
-    }
-
-    /// Run a fresh durable (journaled) simulation to the horizon.
-    pub fn run_durable(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-    ) -> io::Result<RunReport> {
-        Ok(Self::drive(Self::durable(cfg, params, workflows, path)?))
+        let mut session = Session::start(Self::new(cfg, params, workflows));
+        session.advance(session.horizon(), u64::MAX);
+        session.finish()
     }
 
     /// Resume a crashed durable run from its journal and run it to the
@@ -769,13 +757,15 @@ impl ClusterSim {
         workflows: Vec<Workflow>,
         path: impl AsRef<Path>,
     ) -> io::Result<RunReport> {
-        Ok(Self::drive(Self::resume(cfg, params, workflows, path)?))
+        let mut session = Session::start(Self::resume(cfg, params, workflows, path)?);
+        session.advance(session.horizon(), u64::MAX);
+        Ok(session.finish())
     }
 
     /// Run a fresh durable simulation but kill the master at `crash`:
-    /// after that many delivered events, all in-memory state is dropped
-    /// on the floor and `Ok(None)` returned — only the journal survives,
-    /// for [`ClusterSim::resume_run`] to pick up. When the run drains (or
+    /// after that many delivered events the session crashes at
+    /// `crash.site` and `Ok(None)` is returned — only the journal
+    /// survives, for [`ClusterSim::resume`]. When the run drains (or
     /// hits the horizon) before the crash point, the completed report is
     /// returned instead.
     pub fn run_durable_until_crash(
@@ -785,71 +775,16 @@ impl ClusterSim {
         path: impl AsRef<Path>,
         crash: CrashPoint,
     ) -> io::Result<Option<RunReport>> {
-        Ok(Self::drive_until_crash(
-            Self::durable(cfg, params, workflows, path)?,
-            crash,
-        ))
-    }
-
-    /// Resume a crashed durable run from its journal, but kill the master
-    /// *again* at `crash` — the double-crash scenario: only the journal
-    /// survives for yet another [`ClusterSim::resume_run`]. Returns
-    /// `Ok(None)` when the crash landed mid-flight, or the completed
-    /// report when the run drained first.
-    pub fn resume_run_until_crash(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-        crash: CrashPoint,
-    ) -> io::Result<Option<RunReport>> {
-        Ok(Self::drive_until_crash(
-            Self::resume(cfg, params, workflows, path)?,
-            crash,
-        ))
-    }
-
-    /// Run a fresh durable simulation under ops-plane control: every
-    /// `poll_every_events` delivered events the controller sees an
-    /// [`OpsStatus`] sample (accounting, counters, live advice) and
-    /// decides to continue or pause. A pause drains the group-commit
-    /// window and takes a durable checkpoint through the WAL v3
-    /// snapshot+compaction path, so the journal alone can resume the
-    /// run later.
-    pub fn run_durable_with_ops(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-        poll_every_events: u64,
-        control: impl FnMut(&OpsStatus) -> OpsRequest,
-    ) -> io::Result<OpsOutcome> {
-        Self::drive_with_ops(
-            Self::durable(cfg, params, workflows, path)?,
-            poll_every_events,
-            control,
-        )
-    }
-
-    /// Resume a paused (or crashed) durable run under ops-plane control;
-    /// same polling contract as [`ClusterSim::run_durable_with_ops`].
-    pub fn resume_run_with_ops(
-        cfg: LobsterConfig,
-        params: SimParams,
-        workflows: Vec<Workflow>,
-        path: impl AsRef<Path>,
-        poll_every_events: u64,
-        control: impl FnMut(&OpsStatus) -> OpsRequest,
-    ) -> io::Result<OpsOutcome> {
-        Self::drive_with_ops(
-            Self::resume(cfg, params, workflows, path)?,
-            poll_every_events,
-            control,
-        )
+        let mut session = Session::start(Self::durable(cfg, params, workflows, path)?);
+        if session.advance(session.horizon(), crash.after_events) == Stop::Budget {
+            session.crash(crash.site);
+            return Ok(None);
+        }
+        Ok(Some(session.finish()))
     }
 
     /// Status sample for the ops plane.
-    fn ops_status(&self, now: SimTime, events_delivered: u64) -> OpsStatus {
+    pub(crate) fn ops_status(&self, now: SimTime, events_delivered: u64) -> OpsStatus {
         OpsStatus {
             now,
             events_delivered,
@@ -862,76 +797,9 @@ impl ClusterSim {
         }
     }
 
-    fn drive_with_ops(
-        sim: ClusterSim,
-        poll_every_events: u64,
-        mut control: impl FnMut(&OpsStatus) -> OpsRequest,
-    ) -> io::Result<OpsOutcome> {
-        let poll = poll_every_events.max(1);
-        let horizon = sim.params.horizon;
-        let deadline = SimTime::ZERO + horizon;
-        let kind = sim.params.engine;
-        let mut engine = Engine::with_kind(sim, kind);
-        engine.prime(SimDuration::ZERO, Ev::Start);
-        loop {
-            let now = engine.run_until_events(deadline, poll);
-            if engine.ctx().peek_time().is_none_or(|t| t > deadline) {
-                // Quiescent (or past the horizon): the run is over.
-                let events_delivered = engine.ctx().delivered();
-                let report = engine.into_model().into_report(now, events_delivered);
-                return Ok(OpsOutcome::Completed(Box::new(report)));
-            }
-            let events_delivered = engine.ctx().delivered();
-            let status = engine.model().ops_status(now, events_delivered);
-            if control(&status) == OpsRequest::Pause {
-                let mut model = engine.into_model();
-                // Durable checkpoint: everything journaled so far becomes
-                // a snapshot + empty tail, exactly the WAL v3 recovery
-                // fast path.
-                model.db.flush();
-                model.db.compact()?;
-                return Ok(OpsOutcome::Paused(status));
-            }
-        }
-    }
-
-    fn drive_until_crash(sim: ClusterSim, crash: CrashPoint) -> Option<RunReport> {
-        let horizon = sim.params.horizon;
-        let deadline = SimTime::ZERO + horizon;
-        let kind = sim.params.engine;
-        let mut engine = Engine::with_kind(sim, kind);
-        engine.prime(SimDuration::ZERO, Ev::Start);
-        let ended_at = engine.run_until_events(deadline, crash.after_events);
-        // Events still pending inside the deadline mean the budget — not
-        // quiescence — stopped the run: the crash landed mid-flight. How
-        // much of the open group-commit window survives is the crash
-        // site's call: a boundary crash flushes it, an in-window crash
-        // drops it with the process.
-        if engine.ctx().peek_time().is_some_and(|t| t <= deadline) {
-            let mut model = engine.into_model();
-            match crash.site {
-                CrashSite::CommitBoundary => model.db.flush(),
-                CrashSite::InsideCommitWindow => model.db.crash(),
-            }
-            return None;
-        }
-        let events_delivered = engine.ctx().delivered();
-        Some(engine.into_model().into_report(ended_at, events_delivered))
-    }
-
-    fn drive(sim: ClusterSim) -> RunReport {
-        let horizon = sim.params.horizon;
-        let kind = sim.params.engine;
-        let mut engine = Engine::with_kind(sim, kind);
-        engine.prime(SimDuration::ZERO, Ev::Start);
-        let ended_at = engine.run_until(SimTime::ZERO + horizon);
-        let events_delivered = engine.ctx().delivered();
-        engine.into_model().into_report(ended_at, events_delivered)
-    }
-
-    /// Fold the final model state into a [`RunReport`]. Public so external
-    /// harnesses that drive the [`Engine`] themselves (the multi-tenant
-    /// coordinator steps several engines in lockstep) can harvest reports.
+    /// Fold the final model state into a [`RunReport`] ([`Session::finish`]).
+    /// Public for the one harness that still drives the [`Engine`]
+    /// itself, the benchmark's (`perfbench`) instrumented loop.
     pub fn into_report(mut self, ended_at: SimTime, events_delivered: u64) -> RunReport {
         // A completed run is a durability boundary: drain any open
         // group-commit window before reporting.
@@ -963,13 +831,9 @@ impl ClusterSim {
         }
     }
 
-    fn done(&self) -> bool {
-        self.finished_at.is_some()
-    }
-
     // ----- multi-tenant coordination surface --------------------------------
     //
-    // A multi-tenant coordinator steps several `ClusterSim` engines over one
+    // A multi-tenant coordinator steps several sessions over one
     // shared pool. Between rounds it reads demand and WAN accounting here,
     // and writes back the arbiter's core cap and the shared-cache warmth.
 
@@ -977,11 +841,6 @@ impl ClusterSim {
     /// fair-share grant). Overage is preempted on the next pool tick.
     pub fn set_core_cap(&mut self, cap: u32) {
         self.pool.set_share_cap(Some(cap));
-    }
-
-    /// Cores currently held by this master's workers.
-    pub fn held_cores(&self) -> u32 {
-        self.pool.ours()
     }
 
     /// Tasklets not yet done or dead-lettered — the demand signal the
@@ -995,7 +854,7 @@ impl ClusterSim {
 
     /// Whether the whole campaign (including merges) has completed.
     pub fn is_finished(&self) -> bool {
-        self.done()
+        self.finished_at.is_some()
     }
 
     /// Outputs not yet folded into a merged file — the merge-side demand
@@ -1019,15 +878,10 @@ impl ClusterSim {
         &self.wan_by_dataset
     }
 
-    /// The federation consumer label this master reports under.
-    pub fn consumer_label(&self) -> &str {
-        &self.consumer
-    }
-
     /// Simulate a process crash for an externally-driven engine: drop the
     /// open group-commit window without flushing, abandoning the model —
-    /// the in-window crash site of [`ClusterSim::run_durable_until_crash`],
-    /// exposed so a multi-tenant coordinator can kill one master mid-round.
+    /// [`Session::crash`] inside the commit window, kept public for the
+    /// benchmark's (`perfbench`) own drive loop.
     pub fn crash_now(mut self) {
         self.db.crash();
     }
@@ -2187,7 +2041,7 @@ impl Model for ClusterSim {
                 self.check_finished(ctx.now());
             }
             Ev::Replenish => {
-                if !self.done() {
+                if !self.is_finished() {
                     let mut delays = std::mem::take(&mut self.scratch_delays);
                     self.factory.replenish_into(&mut self.rng, &mut delays);
                     for &d in &delays {
@@ -2198,7 +2052,7 @@ impl Model for ClusterSim {
                 }
             }
             Ev::PoolTick => {
-                if !self.done() {
+                if !self.is_finished() {
                     let owed = self.pool.tick(ctx.now());
                     let mut evict_cores = owed;
                     let mut killed = 0u32;
@@ -2224,7 +2078,7 @@ impl Model for ClusterSim {
                 }
             }
             Ev::WorkerArrive => {
-                if !self.done() {
+                if !self.is_finished() {
                     self.on_worker_arrive(ctx);
                 }
             }
@@ -2275,7 +2129,7 @@ impl Model for ClusterSim {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{Backoff, WorkflowConfig};
     use crate::fault::Fault;
@@ -2297,7 +2151,7 @@ mod tests {
             .sum()
     }
 
-    fn small_setup(
+    pub(crate) fn small_setup(
         merge: MergeMode,
         availability: AvailabilityModel,
         outages: OutageSchedule,
@@ -2469,9 +2323,7 @@ mod tests {
             horizon: SimDuration::from_hours(48),
             ..SimParams::default()
         };
-        let sim = ClusterSim::new(cfg, params, vec![wf]);
-        let mut eng = Engine::new(sim);
-        eng.prime(SimDuration::ZERO, Ev::Start);
+        let mut session = Session::start(ClusterSim::new(cfg, params, vec![wf]));
         let round = SimDuration::from_mins(5);
         let mut deadline = SimTime::ZERO;
         for i in 0..(48 * 12) {
@@ -2483,15 +2335,15 @@ mod tests {
             // believes it is full while zero workers remain, no claim
             // ever succeeds again, and the workload starves.
             let cap = 48u32.saturating_sub(2 * i as u32).max(12);
-            eng.model_mut().set_core_cap(cap);
+            session.sim_mut().set_core_cap(cap);
             deadline += round;
-            eng.run_until(deadline);
-            if eng.model().done() {
+            session.advance(deadline, u64::MAX);
+            if session.sim().is_finished() {
                 break;
             }
         }
         assert!(
-            eng.model().is_finished(),
+            session.sim().is_finished(),
             "workload starved under an oscillating share cap"
         );
     }

@@ -31,8 +31,9 @@
 //!   squid/Chirp/federation for a window (Figure 11-style bursts on
 //!   demand).
 //! * [`driver`] — the full-cluster discrete-event driver behind the §6
-//!   production runs (Figures 9–11), including the live ops control
-//!   surface (poll status mid-run, pause into a durable checkpoint).
+//!   production runs (Figures 9–11).
+//! * [`session`] — one running master: advance it in slices, sample its
+//!   live status, and finish, pause (a durable checkpoint) or crash it.
 //! * [`ops`] — the bridge into the `opsplane` crate: lower a finished
 //!   run into a deterministic `metrics.json` snapshot.
 //! * [`local`] — the laptop-scale driver that runs real closures through
@@ -49,11 +50,13 @@ pub mod merge;
 pub mod monitor;
 pub mod ops;
 pub mod publish;
+pub mod session;
 pub mod tasksize;
 pub mod workflow;
 pub mod wrapper;
 
 pub use config::LobsterConfig;
 pub use db::LobsterDb;
-pub use driver::{ClusterSim, OpsOutcome, OpsRequest, OpsStatus, RunReport};
+pub use driver::{ClusterSim, OpsStatus, RunReport};
+pub use session::{Session, Stop};
 pub use workflow::Workflow;

@@ -11,17 +11,17 @@
 //!    both same-seed determinism and journaling non-perturbation).
 //! 4. **Crash/resume convergence** — killing the master halfway through the
 //!    event stream and resuming from the journal converges to the
-//!    uninterrupted run's accounting, via the existing `CrashPoint`
-//!    machinery.
+//!    uninterrupted run's accounting, via `lobster::Session::crash`.
 
 use crate::compile::{compile, compile_multitenant, Compiled};
 use crate::spec::{Scenario, ScenarioError};
 use lobster::db::LobsterDb;
 use lobster::driver::{ClusterSim, RunReport};
 use lobster::monitor::Accounting;
+use lobster::{Session, Stop};
 use opsplane::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
-use simkit::fault::CrashPoint;
+use simkit::fault::CrashSite;
 use simkit::time::SimTime;
 use simkit::trace::Trace;
 use std::fmt;
@@ -221,7 +221,9 @@ impl ScenarioRunner {
         // (conservation, via a cold journal replay).
         let ref_path = self.root.join(format!("{}-ref", sc.name));
         cleanup(&ref_path);
-        let reference = ClusterSim::run_durable(cfg, params, workflows, &ref_path)?;
+        let mut session = Session::start(ClusterSim::durable(cfg, params, workflows, &ref_path)?);
+        session.advance(session.horizon(), u64::MAX);
+        let reference = session.finish();
         let finished_at = match reference.finished_at {
             Some(t) => t,
             None => {
@@ -302,14 +304,10 @@ impl ScenarioRunner {
             params,
             workflows,
         } = compile(sc)?;
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            workflows,
-            &crash_path,
-            CrashPoint::after_events(budget),
-        )?;
-        if crashed.is_some() {
+        let mut session = Session::start(ClusterSim::durable(cfg, params, workflows, &crash_path)?);
+        let stop = session.advance(session.horizon(), budget);
+        session.crash(CrashSite::CommitBoundary);
+        if stop != Stop::Budget {
             cleanup(&crash_path);
             return Self::invariant(
                 sc,
@@ -325,7 +323,9 @@ impl ScenarioRunner {
             params,
             workflows,
         } = compile(sc)?;
-        let resumed = ClusterSim::resume_run(cfg, params, workflows, &crash_path)?;
+        let mut session = Session::start(ClusterSim::resume(cfg, params, workflows, &crash_path)?);
+        session.advance(session.horizon(), u64::MAX);
+        let resumed = session.finish();
         if resumed.finished_at.is_none() {
             cleanup(&crash_path);
             return Self::invariant(sc, "crash-resume", "resumed run never finished".to_string());

@@ -617,6 +617,11 @@ impl<M: Model> Engine<M> {
         self.ctx.now()
     }
 
+    /// Events delivered so far.
+    pub fn delivered(&self) -> u64 {
+        self.ctx.delivered()
+    }
+
     /// Scheduling context (e.g. to prime several events).
     pub fn ctx(&mut self) -> &mut Ctx<M::Event> {
         &mut self.ctx

@@ -31,10 +31,12 @@
 use batchsim::arbiter::{ArbiterConfig, FairShareArbiter};
 use batchsim::pool::{OpportunisticPool, PoolConfig};
 use lobster::config::{LobsterConfig, WorkloadKind};
-use lobster::driver::{ClusterSim, Ev, RunReport, SimParams};
+use lobster::driver::{ClusterSim, RunReport, SimParams};
 use lobster::workflow::Workflow;
+use lobster::Session;
 use opsplane::federate::{FederatedSnapshot, TenantMetrics};
 use serde::Serialize;
+use simkit::fault::CrashSite;
 use simkit::prelude::*;
 use simkit::rng::SimRng;
 use simkit::trace::Trace;
@@ -176,21 +178,25 @@ struct CrashPlan {
     budget: u64,
 }
 
-/// A tenant's engine, boxed so handing it to a worker and back moves
+/// A tenant's session, boxed so handing it to a worker and back moves
 /// one pointer.
-type TenantEngine = Box<Engine<ClusterSim>>;
+type TenantSession = Box<Session>;
 
-/// One tenant's engine on its way to a worker, carrying the round
-/// deadline, and back, carrying the time of its last delivered event.
+/// One tenant's session on its way to a worker and back, carrying the
+/// round deadline and the events it may still deliver (unbounded but for
+/// the crash victim).
 struct Leg {
     tenant: usize,
-    engine: TenantEngine,
-    time: SimTime,
+    session: TenantSession,
+    deadline: SimTime,
+    budget: u64,
 }
 
 impl Leg {
     fn step(&mut self) {
-        self.time = self.engine.run_until(self.time);
+        let before = self.session.delivered();
+        self.session.advance(self.deadline, self.budget);
+        self.budget -= self.session.delivered() - before;
     }
 }
 
@@ -267,19 +273,18 @@ fn worker_stopped() -> TenancyError {
     TenancyError::Invalid("a tenant worker thread stopped".to_string())
 }
 
-/// The multi-tenant coordinator: owns one engine per tenant, the shared
-/// pool walk and the arbiter, and drives everything in round-lockstep.
+/// The multi-tenant coordinator: owns one [`Session`] per tenant, the
+/// shared pool walk and the arbiter, and drives everything in
+/// round-lockstep.
 pub struct MultiTenant {
     cfg: TenancyConfig,
     specs: Vec<TenantSpec>,
-    engines: Vec<Option<TenantEngine>>,
+    sessions: Vec<Option<TenantSession>>,
     arbiter: FairShareArbiter,
     shared: OpportunisticPool,
     /// Per-tenant engine deadline. A resumed tenant's clock restarts at
     /// zero, so deadlines are tracked per tenant, not globally.
     target: Vec<SimTime>,
-    /// Last observed engine time per tenant (report `ended_at`).
-    ended: Vec<SimTime>,
     caps: Vec<Vec<u32>>,
     /// Monotone per-tenant WAN pull accounting. Kept coordinator-side so
     /// shared-cache warmth survives a tenant crash (the site caches do
@@ -380,7 +385,7 @@ impl MultiTenant {
             std::fs::create_dir_all(r)?;
         }
         let mut arbiter = FairShareArbiter::new(cfg.arbiter);
-        let mut engines = Vec::with_capacity(tenants.len());
+        let mut sessions = Vec::with_capacity(tenants.len());
         for (i, spec) in tenants.iter_mut().enumerate() {
             spec.params = Self::tenant_params(&cfg, spec);
             let sim = match root {
@@ -396,21 +401,18 @@ impl MultiTenant {
                     journal_dir(r, i, &spec.name),
                 )?,
             };
-            let mut engine = Box::new(Engine::with_kind(sim, spec.params.engine));
-            engine.prime(SimDuration::ZERO, Ev::Start);
             arbiter.register(spec.weight);
-            engines.push(Some(engine));
+            sessions.push(Some(Box::new(Session::start(sim))));
         }
         let n = tenants.len();
         let shared = OpportunisticPool::new(cfg.pool, SimRng::new(cfg.seed));
         Ok(MultiTenant {
             cfg,
             specs: tenants,
-            engines,
+            sessions,
             arbiter,
             shared,
             target: vec![SimTime::ZERO; n],
-            ended: vec![SimTime::ZERO; n],
             caps: vec![Vec::new(); n],
             pulled: vec![BTreeMap::new(); n],
             root: root.map(Path::to_path_buf),
@@ -463,8 +465,8 @@ impl MultiTenant {
     /// owes — and peers see the exact same round count with or without
     /// the crash.
     fn tenant_active(&self, i: usize) -> bool {
-        match &self.engines[i] {
-            Some(e) => !e.model().is_finished() && self.clock < SimTime::ZERO + self.cfg.horizon,
+        match &self.sessions[i] {
+            Some(s) => !s.sim().is_finished() && self.clock < SimTime::ZERO + self.cfg.horizon,
             None => false,
         }
     }
@@ -483,10 +485,10 @@ impl MultiTenant {
         let n = self.specs.len();
         let mut d = vec![0u32; n];
         for (i, slot) in d.iter_mut().enumerate() {
-            let Some(e) = &self.engines[i] else {
+            let Some(s) = &self.sessions[i] else {
                 continue;
             };
-            let m = e.model();
+            let m = s.sim();
             if m.is_finished() {
                 continue;
             }
@@ -507,16 +509,16 @@ impl MultiTenant {
     fn exchange_cache_warmth(&mut self) {
         let n = self.specs.len();
         for i in 0..n {
-            let Some(e) = &self.engines[i] else {
+            let Some(s) = &self.sessions[i] else {
                 continue;
             };
-            for (ds, &bytes) in e.model().wan_bytes_by_dataset() {
+            for (ds, &bytes) in s.sim().wan_bytes_by_dataset() {
                 let slot = self.pulled[i].entry(ds.clone()).or_insert(0);
                 *slot = (*slot).max(bytes);
             }
         }
         for i in 0..n {
-            if self.engines[i].is_none() {
+            if self.sessions[i].is_none() {
                 continue;
             }
             for w in 0..self.specs[i].workflows.len() {
@@ -537,8 +539,8 @@ impl MultiTenant {
                     }
                 }
                 let warm = (others as f64 / total as f64).min(1.0);
-                if let Some(e) = &mut self.engines[i] {
-                    e.model_mut().set_dataset_warmth(&ds, warm);
+                if let Some(s) = &mut self.sessions[i] {
+                    s.sim_mut().set_dataset_warmth(&ds, warm);
                 }
             }
         }
@@ -546,48 +548,37 @@ impl MultiTenant {
 
     /// Kill the victim's master (dropping its open group-commit window,
     /// like a real process death) and resume it from its journal. The
-    /// resumed engine's clock restarts at zero; its arbitration deadline
+    /// resumed session's clock restarts at zero; its arbitration deadline
     /// follows.
     fn crash_and_resume(&mut self, victim: usize) -> Result<(), TenancyError> {
-        let root = match &self.root {
-            Some(r) => r.clone(),
-            None => {
-                return Err(TenancyError::Invalid(
-                    "crash scheduled on an in-memory run".to_string(),
-                ))
-            }
+        let Some(root) = &self.root else {
+            let msg = "crash scheduled on an in-memory run".to_string();
+            return Err(TenancyError::Invalid(msg));
         };
-        if let Some(e) = self.engines[victim].take() {
-            e.into_model().crash_now();
+        if let Some(s) = self.sessions[victim].take() {
+            s.crash(CrashSite::InsideCommitWindow);
         }
         let spec = &self.specs[victim];
         let sim = ClusterSim::resume(
             spec.cfg.clone(),
             spec.params.clone(),
             spec.workflows.clone(),
-            journal_dir(&root, victim, &spec.name),
+            journal_dir(root, victim, &spec.name),
         )?;
-        let mut engine = Box::new(Engine::with_kind(sim, spec.params.engine));
-        engine.prime(SimDuration::ZERO, Ev::Start);
-        self.engines[victim] = Some(engine);
+        self.sessions[victim] = Some(Box::new(Session::start(sim)));
         self.target[victim] = SimTime::ZERO;
-        self.ended[victim] = SimTime::ZERO;
         self.crash_round = Some(self.rounds);
         Ok(())
     }
 
-    /// Engine events delivered so far, summed over live engines.
-    fn delivered(&mut self) -> u64 {
-        let mut total = 0u64;
-        for e in self.engines.iter_mut().flatten() {
-            total = total.saturating_add(e.ctx().delivered());
-        }
-        total
+    /// Engine events delivered so far, summed over live sessions.
+    fn delivered(&self) -> u64 {
+        self.sessions.iter().flatten().map(|s| s.delivered()).sum()
     }
 
     /// One arbitration round: advance the shared owner-demand walk,
     /// allocate caps from demand and decayed usage, exchange cache
-    /// warmth, then step every engine to the round deadline over
+    /// warmth, then step every session to the round deadline over
     /// `workers` and crash the victim if its budget ran out. Returns the
     /// engine events the round delivered.
     fn advance_round(&mut self, workers: &Workers<Leg>) -> Result<u64, TenancyError> {
@@ -609,15 +600,15 @@ impl MultiTenant {
             let cap = alloc.get(i).copied().unwrap_or(0);
             self.caps[i].push(cap);
             self.target[i] += self.cfg.round;
-            if let Some(e) = &mut self.engines[i] {
-                e.model_mut().set_core_cap(cap);
+            if let Some(s) = &mut self.sessions[i] {
+                s.sim_mut().set_core_cap(cap);
             }
         }
         if workers.count() > 1 {
             self.fanned_out_rounds += 1;
         }
         let before = self.delivered();
-        let crash_now = self.step_engines(workers)?;
+        let crash_now = self.step_sessions(workers)?;
         let events = self.delivered().saturating_sub(before);
         if let Some(victim) = crash_now {
             self.crash = None;
@@ -626,64 +617,41 @@ impl MultiTenant {
         Ok(events)
     }
 
-    /// Step tenant `i` to its round deadline on this thread. The crash
-    /// victim spends its event budget instead; returns true once that
-    /// budget is used up.
-    fn step_here(&mut self, i: usize) -> bool {
-        let deadline = self.target[i];
-        let Some(e) = &mut self.engines[i] else {
-            return false;
-        };
-        match self.crash {
-            Some(c) if c.victim == i => {
-                let before = e.ctx().delivered();
-                self.ended[i] = e.run_until_events(deadline, c.budget);
-                let used = e.ctx().delivered().saturating_sub(before);
-                if used >= c.budget {
-                    return true;
-                }
-                self.crash = Some(CrashPlan {
-                    budget: c.budget - used,
-                    ..c
-                });
-            }
-            _ => self.ended[i] = e.run_until(deadline),
-        }
-        false
-    }
-
-    /// Step every engine to its round deadline over `workers`: tenant `i`
-    /// runs on worker `i % W`, where worker 0 is this thread, so with one
-    /// worker this is the plain tenant-index loop. The crash victim always
-    /// stays on this thread, so its kill point and its `crash_and_resume`
-    /// are exactly the serial loop's. Results land by tenant index.
-    /// Returns the victim if its budget ran out.
-    fn step_engines(&mut self, workers: &Workers<Leg>) -> Result<Option<usize>, TenancyError> {
+    /// Step every session to its round deadline over `workers`: tenant
+    /// `i` runs on worker `i % W`, where worker 0 is this thread, so with
+    /// one worker this is the plain tenant-index loop. The crash victim's
+    /// leg carries what is left of its event budget. Results land by
+    /// tenant index. Returns the victim once its budget is used up.
+    fn step_sessions(&mut self, workers: &Workers<Leg>) -> Result<Option<usize>, TenancyError> {
         let w = workers.count();
-        let victim = self.crash.map(|c| c.victim);
-        let here = |i: usize| i.is_multiple_of(w) || Some(i) == victim;
-        let mut batches: Vec<Vec<Leg>> = (1..w).map(|_| Vec::new()).collect();
-        for i in (0..self.engines.len()).filter(|&i| !here(i)) {
-            if let Some(engine) = self.engines[i].take() {
-                batches[i % w - 1].push(Leg {
+        let mut batches: Vec<Vec<Leg>> = (0..w).map(|_| Vec::new()).collect();
+        for (i, slot) in self.sessions.iter_mut().enumerate() {
+            if let Some(session) = slot.take() {
+                let budget = match self.crash {
+                    Some(c) if c.victim == i => c.budget,
+                    _ => u64::MAX,
+                };
+                batches[i % w].push(Leg {
                     tenant: i,
-                    engine,
-                    time: self.target[i],
+                    session,
+                    deadline: self.target[i],
+                    budget,
                 });
             }
         }
+        let mut here = batches.remove(0);
         workers.send(batches)?;
-        let mut crash_now = None;
-        for i in (0..self.engines.len()).filter(|&i| here(i)) {
-            if self.step_here(i) {
-                crash_now = Some(i);
+        here.iter_mut().for_each(Leg::step);
+        for leg in here
+            .into_iter()
+            .chain(workers.collect()?.into_iter().flatten())
+        {
+            if let Some(c) = self.crash.as_mut().filter(|c| c.victim == leg.tenant) {
+                c.budget = leg.budget;
             }
+            self.sessions[leg.tenant] = Some(leg.session);
         }
-        for leg in workers.collect()?.into_iter().flatten() {
-            self.ended[leg.tenant] = leg.time;
-            self.engines[leg.tenant] = Some(leg.engine);
-        }
-        Ok(crash_now)
+        Ok(self.crash.filter(|c| c.budget == 0).map(|c| c.victim))
     }
 
     /// Drive rounds until every tenant finishes or exhausts its horizon,
@@ -691,11 +659,11 @@ impl MultiTenant {
     /// snapshot.
     ///
     /// A round whose predecessor delivered at least [`FANOUT_EVENTS`]
-    /// engine events steps its engines on `min(cores, tenants)` workers:
+    /// engine events steps its sessions on `min(cores, tenants)` workers:
     /// threads spawned once, at the first such round, and kept for the
-    /// rest of the run. Everything else — the coordinator phase, the
-    /// crash victim, crash/resume and harvest — stays on this thread, and
-    /// the output is byte-identical for any worker count.
+    /// rest of the run. Everything else — the coordinator phase,
+    /// crash/resume and harvest — stays on this thread, and the output is
+    /// byte-identical for any worker count.
     pub fn run(mut self) -> Result<MultiTenantReport, TenancyError> {
         let workers = self.workers.unwrap_or_else(|| {
             let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -720,11 +688,10 @@ impl MultiTenant {
         let mut outcomes = Vec::with_capacity(n);
         let mut fed_tenants = Vec::with_capacity(n);
         for i in 0..n {
-            let Some(mut e) = self.engines[i].take() else {
+            let Some(s) = self.sessions[i].take() else {
                 continue;
             };
-            let delivered = e.ctx().delivered();
-            let report = e.into_model().into_report(self.ended[i], delivered);
+            let report = s.finish();
             let spec = &self.specs[i];
             fed_tenants.push(TenantMetrics {
                 tenant: spec.name.clone(),
@@ -1106,8 +1073,8 @@ mod tests {
         }
     }
 
-    /// The same with a durable run whose crash victim would sit on a
-    /// spawned worker: journals, crash round and output are unchanged.
+    /// The same with a durable run whose crash victim steps on a spawned
+    /// worker: journals, crash round and output are unchanged.
     #[test]
     fn durable_crash_is_invariant_in_worker_count() {
         let n = mixed_roster().len();

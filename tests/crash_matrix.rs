@@ -18,6 +18,7 @@ use lobster::driver::{ClusterSim, RunReport, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
+use lobster::{Session, Stop};
 use simkit::fault::CrashPoint;
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageSchedule};
@@ -127,13 +128,36 @@ fn assert_converged(resumed: &RunReport, reference: &RunReport, path: &PathBuf, 
     );
 }
 
-fn reference_run(
-    mk: &dyn Fn() -> (LobsterConfig, SimParams, Vec<Workflow>),
-    tag: &str,
-) -> (RunReport, PathBuf) {
-    let path = journal_path(tag);
+type Setup<'a> = dyn Fn() -> (LobsterConfig, SimParams, Vec<Workflow>) + 'a;
+
+/// A fresh durable session of `mk`'s workload journaling to `path`.
+fn durable(mk: &Setup<'_>, path: &Path) -> Session {
     let (cfg, params, wfs) = mk();
-    let report = ClusterSim::run_durable(cfg, params, wfs, &path).unwrap();
+    Session::start(ClusterSim::durable(cfg, params, wfs, path).unwrap())
+}
+
+/// A session of `mk`'s workload resumed from the journal at `path`.
+fn resume(mk: &Setup<'_>, path: &Path) -> Session {
+    let (cfg, params, wfs) = mk();
+    Session::start(ClusterSim::resume(cfg, params, wfs, path).unwrap())
+}
+
+/// Run `session` to its horizon and harvest the report.
+fn finish(mut session: Session) -> RunReport {
+    session.advance(session.horizon(), u64::MAX);
+    session.finish()
+}
+
+/// Kill `session` at `point`, which must land mid-run.
+fn crash(mut session: Session, point: CrashPoint) {
+    let stop = session.advance(session.horizon(), point.after_events);
+    assert_eq!(stop, Stop::Budget, "{point:?} must land mid-run");
+    session.crash(point.site);
+}
+
+fn reference_run(mk: &Setup<'_>, tag: &str) -> (RunReport, PathBuf) {
+    let path = journal_path(tag);
+    let report = finish(durable(mk, &path));
     assert!(report.finished_at.is_some(), "reference must finish");
     (report, path)
 }
@@ -149,21 +173,8 @@ fn crash_at_event_boundaries_resumes_to_same_accounting() {
 
     for crash_after in [1, n / 4, n / 2, 3 * n / 4, n - 1] {
         let path = journal_path(&format!("crash-{crash_after}"));
-        let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
-            CrashPoint::after_events(crash_after),
-        )
-        .unwrap();
-        assert!(
-            crashed.is_none(),
-            "budget {crash_after} of {n} events must crash mid-run"
-        );
-        let (cfg, params, wfs) = mk();
-        let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+        crash(durable(&mk, &path), CrashPoint::after_events(crash_after));
+        let resumed = finish(resume(&mk, &path));
         assert_converged(
             &resumed,
             &reference,
@@ -194,16 +205,7 @@ fn crash_mid_wal_append_resumes_to_same_accounting() {
         ("master", 5),
     ] {
         let path = journal_path(&format!("torn-{which}-{torn_bytes}"));
-        let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
-            CrashPoint::after_events(n / 2),
-        )
-        .unwrap();
-        assert!(crashed.is_none());
+        crash(durable(&mk, &path), CrashPoint::after_events(n / 2));
         let victim = match which {
             "shard" => shard_file(&path),
             _ => master_file(&path),
@@ -213,8 +215,7 @@ fn crash_mid_wal_append_resumes_to_same_accounting() {
         let f = OpenOptions::new().write(true).open(&victim).unwrap();
         f.set_len(len - torn_bytes).unwrap();
         drop(f);
-        let (cfg, params, wfs) = mk();
-        let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+        let resumed = finish(resume(&mk, &path));
         assert_converged(
             &resumed,
             &reference,
@@ -233,16 +234,10 @@ fn crash_point_past_the_end_is_a_normal_run() {
     let (reference, ref_path) = reference_run(&mk, "ref-past-end");
     cleanup(&ref_path);
     let path = journal_path("past-end");
-    let (cfg, params, wfs) = mk();
-    let report = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
-        CrashPoint::after_events(reference.events_delivered + 1_000),
-    )
-    .unwrap()
-    .expect("run drains before the crash budget");
+    let mut session = durable(&mk, &path);
+    let stop = session.advance(session.horizon(), reference.events_delivered + 1_000);
+    assert_eq!(stop, Stop::Drained, "run drains before the crash budget");
+    let report = session.finish();
     assert_eq!(report.tasks_completed, reference.tasks_completed);
     assert_eq!(report.merges_completed, reference.merges_completed);
     assert_eq!(report.finished_at, reference.finished_at);
@@ -259,8 +254,7 @@ fn durable_run_is_byte_identical_to_in_memory_run() {
     let (cfg, params, wfs) = mk();
     let mem = ClusterSim::run(cfg, params, wfs);
     let path = journal_path("identical");
-    let (cfg, params, wfs) = mk();
-    let dur = ClusterSim::run_durable(cfg, params, wfs, &path).unwrap();
+    let dur = finish(durable(&mk, &path));
 
     assert_eq!(mem.tasks_completed, dur.tasks_completed);
     assert_eq!(mem.tasks_failed, dur.tasks_failed);
@@ -309,18 +303,11 @@ fn crash_with_dead_letters_conserves_tasklets() {
     cleanup(&ref_path);
 
     let path = journal_path("dead-letters");
-    let (cfg, params, wfs) = mk();
-    let crashed = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
+    crash(
+        durable(&mk, &path),
         CrashPoint::after_events(reference.events_delivered / 2),
-    )
-    .unwrap();
-    assert!(crashed.is_none(), "crash lands mid-run");
-    let (cfg, params, wfs) = mk();
-    let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+    );
+    let resumed = finish(resume(&mk, &path));
     assert!(resumed.finished_at.is_some(), "{resumed:?}");
     let merged_bytes: u64 = resumed.merged_files.iter().map(|m| m.1).sum();
     let dead_units: u64 = resumed.dead_letters.iter().map(|d| d.units).sum();
@@ -332,19 +319,34 @@ fn crash_with_dead_letters_conserves_tasklets() {
     cleanup(&path);
 }
 
-/// A journal already holding a run refuses `durable` (fresh) opens, and
-/// resume rejects a config whose workflow shape contradicts the journal.
+/// A journal already holding a run refuses `durable` (fresh) opens;
+/// resume rejects a config whose workflow shape contradicts the journal,
+/// and a path that does not exist, which it leaves uncreated. An empty
+/// journal directory (a crash before the first commit) resumes as a
+/// fresh run.
 #[test]
 fn durable_and_resume_guard_their_preconditions() {
     let path = journal_path("guards");
     let mk = || setup(MergeMode::Interleaved, 10);
     let (cfg, params, wfs) = mk();
+    let err = match ClusterSim::resume(cfg, params, wfs, &path) {
+        Err(e) => e,
+        Ok(_) => panic!("resume of a missing journal must fail"),
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(!path.exists(), "a failed resume creates nothing");
+
+    std::fs::create_dir_all(&path).unwrap();
+    let fresh = finish(resume(&mk, &path));
+    let (cfg, params, wfs) = mk();
+    let reference = ClusterSim::run(cfg, params, wfs);
+    assert_eq!(fresh.events_delivered, reference.events_delivered);
+    assert_eq!(fresh.merged_files, reference.merged_files);
+    cleanup(&path);
+
     // A 10-file run delivers well over 100 events (asserted by the
     // boundary test), so a 50-event budget always lands mid-run.
-    let crashed =
-        ClusterSim::run_durable_until_crash(cfg, params, wfs, &path, CrashPoint::after_events(50))
-            .unwrap();
-    assert!(crashed.is_none());
+    crash(durable(&mk, &path), CrashPoint::after_events(50));
 
     let (cfg, params, wfs) = mk();
     let err = match ClusterSim::durable(cfg, params, wfs, &path) {
@@ -407,16 +409,7 @@ fn mid_file_wal_corruption_fails_hard() {
     cleanup(&ref_path);
     for which in ["first", "middle"] {
         let path = journal_path(&format!("corrupt-{which}"));
-        let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
-            CrashPoint::after_events(n / 2),
-        )
-        .unwrap();
-        assert!(crashed.is_none(), "budget must land mid-run");
+        crash(durable(&mk, &path), CrashPoint::after_events(n / 2));
 
         // Corrupt the task shard: with group commit one frame is a whole
         // batch, so even a busy file holds only a handful of frames.
@@ -439,7 +432,7 @@ fn mid_file_wal_corruption_fails_hard() {
         std::fs::write(&victim, &bytes).unwrap();
 
         let (cfg, params, wfs) = mk();
-        let err = match ClusterSim::resume_run(cfg, params, wfs, &path) {
+        let err = match ClusterSim::resume(cfg, params, wfs, &path) {
             Err(e) => e,
             Ok(_) => panic!("{which}-frame corruption must refuse to resume"),
         };
@@ -463,32 +456,13 @@ fn double_crash_resumes_twice_and_converges() {
     cleanup(&ref_path);
 
     let path = journal_path("double-crash");
-    let (cfg, params, wfs) = mk();
-    let first = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
-        CrashPoint::after_events(n / 3),
-    )
-    .unwrap();
-    assert!(first.is_none(), "first crash lands mid-run");
+    crash(durable(&mk, &path), CrashPoint::after_events(n / 3));
 
     // The resumed run replays state, then crashes again after a modest
     // budget of *its own* events — inside the work the first crash left.
-    let (cfg, params, wfs) = mk();
-    let second = ClusterSim::resume_run_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
-        CrashPoint::after_events(n / 4),
-    )
-    .unwrap();
-    assert!(second.is_none(), "second crash lands mid-resume");
+    crash(resume(&mk, &path), CrashPoint::after_events(n / 4));
 
-    let (cfg, params, wfs) = mk();
-    let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+    let resumed = finish(resume(&mk, &path));
     assert_converged(&resumed, &reference, &path, "double crash");
     cleanup(&path);
 }
@@ -507,18 +481,11 @@ fn crash_inside_commit_window_resumes_to_same_accounting() {
 
     for crash_after in [n / 4, n / 2, 3 * n / 4] {
         let path = journal_path(&format!("window-{crash_after}"));
-        let (cfg, params, wfs) = mk();
-        let crashed = ClusterSim::run_durable_until_crash(
-            cfg,
-            params,
-            wfs,
-            &path,
+        crash(
+            durable(&mk, &path),
             CrashPoint::inside_commit_window(crash_after),
-        )
-        .unwrap();
-        assert!(crashed.is_none(), "budget must land mid-run");
-        let (cfg, params, wfs) = mk();
-        let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+        );
+        let resumed = finish(resume(&mk, &path));
         assert_converged(
             &resumed,
             &reference,
@@ -530,28 +497,9 @@ fn crash_inside_commit_window_resumes_to_same_accounting() {
 
     // Stacked: boundary crash, resume, in-window crash, resume again.
     let path = journal_path("window-double");
-    let (cfg, params, wfs) = mk();
-    let first = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
-        CrashPoint::after_events(n / 3),
-    )
-    .unwrap();
-    assert!(first.is_none());
-    let (cfg, params, wfs) = mk();
-    let second = ClusterSim::resume_run_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
-        CrashPoint::inside_commit_window(n / 4),
-    )
-    .unwrap();
-    assert!(second.is_none(), "second crash lands mid-resume");
-    let (cfg, params, wfs) = mk();
-    let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+    crash(durable(&mk, &path), CrashPoint::after_events(n / 3));
+    crash(resume(&mk, &path), CrashPoint::inside_commit_window(n / 4));
+    let resumed = finish(resume(&mk, &path));
     assert_converged(&resumed, &reference, &path, "in-window double crash");
     cleanup(&path);
 }
@@ -568,22 +516,12 @@ fn crash_mid_compaction_ignores_stray_tmp() {
     cleanup(&ref_path);
 
     let path = journal_path("compaction");
-    let (cfg, params, wfs) = mk();
-    let crashed = ClusterSim::run_durable_until_crash(
-        cfg,
-        params,
-        wfs,
-        &path,
-        CrashPoint::after_events(n / 2),
-    )
-    .unwrap();
-    assert!(crashed.is_none());
+    crash(durable(&mk, &path), CrashPoint::after_events(n / 2));
     // Simulate the torn compaction: a half-written replacement next to
     // the live shard file (any bytes — it was never fsync-renamed).
     let stray = path.join("shard-0000.wal.waltmp");
     std::fs::write(&stray, b"half-written compacted image").unwrap();
-    let (cfg, params, wfs) = mk();
-    let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+    let resumed = finish(resume(&mk, &path));
     assert_converged(&resumed, &reference, &path, "mid-compaction crash");
     assert!(!stray.exists(), "reopen clears the stray tmp file");
     cleanup(&path);
@@ -608,24 +546,14 @@ fn full_crash_matrix() {
         let crash_after = 1 + i * (n - 2) / (points - 1);
         for torn_bytes in [0u64, 5] {
             let path = journal_path(&format!("full-{i}-{torn_bytes}"));
-            let (cfg, params, wfs) = mk();
-            let crashed = ClusterSim::run_durable_until_crash(
-                cfg,
-                params,
-                wfs,
-                &path,
-                CrashPoint::after_events(crash_after),
-            )
-            .unwrap();
-            assert!(crashed.is_none());
+            crash(durable(&mk, &path), CrashPoint::after_events(crash_after));
             if torn_bytes > 0 {
                 let victim = master_file(&path);
                 let len = std::fs::metadata(&victim).unwrap().len();
                 let f = OpenOptions::new().write(true).open(&victim).unwrap();
                 f.set_len(len.saturating_sub(torn_bytes).max(16)).unwrap();
             }
-            let (cfg, params, wfs) = mk();
-            let resumed = ClusterSim::resume_run(cfg, params, wfs, &path).unwrap();
+            let resumed = finish(resume(&mk, &path));
             assert_converged(
                 &resumed,
                 &reference,

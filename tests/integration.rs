@@ -533,12 +533,13 @@ fn same_seed_runs_emit_byte_identical_metrics_snapshots() {
     );
 }
 
-/// Ops-plane control surface: pause a durable run mid-flight (the
-/// controller requests a checkpoint), then resume from the journal and
-/// converge to the same final accounting as an uninterrupted run.
+/// Ops-plane control surface: poll a durable session's status in event
+/// slices, pause it mid-flight into a durable checkpoint, then resume
+/// from the journal and converge to the same final accounting as an
+/// uninterrupted run.
 #[test]
 fn ops_pause_checkpoint_resume_converges() {
-    use lobster::driver::{OpsOutcome, OpsRequest};
+    use lobster::{Session, Stop};
 
     let dir = std::env::temp_dir().join("lobster-ops-pause");
     std::fs::create_dir_all(&dir).unwrap();
@@ -575,38 +576,29 @@ fn ops_pause_checkpoint_resume_converges() {
     // Size the poll window so the third sample lands ~30% into the run.
     let poll_every = (reference.events_delivered / 10).max(1);
 
-    let mut polls = 0u32;
     let (cfg, params, wfs) = mk();
-    let outcome = ClusterSim::run_durable_with_ops(cfg, params, wfs, &path, poll_every, |status| {
-        polls += 1;
-        assert!(status.events_delivered > 0, "status carries progress");
-        if polls == 3 {
-            OpsRequest::Pause
-        } else {
-            OpsRequest::Continue
-        }
-    })
-    .unwrap();
-    let status = match outcome {
-        OpsOutcome::Paused(s) => s,
-        OpsOutcome::Completed(_) => panic!("run completed before the pause request"),
-    };
-    assert_eq!(polls, 3, "controller stops being polled after the pause");
+    let mut session = Session::start(ClusterSim::durable(cfg, params, wfs, &path).unwrap());
+    for _ in 0..3 {
+        let stop = session.advance(session.horizon(), poll_every);
+        assert_eq!(stop, Stop::Budget, "run completed before the pause request");
+    }
+    let status = session.status();
+    assert_eq!(
+        status.events_delivered,
+        3 * poll_every,
+        "status carries progress"
+    );
+    session.pause().unwrap();
     assert!(
         status.live_tasks > 0 || status.counters.tasks_completed > 0,
         "pause landed mid-run: {status:?}"
     );
 
-    // Resume through the ops plane, never pausing again.
+    // Resume from the checkpoint and run to the end.
     let (cfg, params, wfs) = mk();
-    let resumed = match ClusterSim::resume_run_with_ops(cfg, params, wfs, &path, 100_000, |_| {
-        OpsRequest::Continue
-    })
-    .unwrap()
-    {
-        OpsOutcome::Completed(report) => *report,
-        OpsOutcome::Paused(s) => panic!("resume paused without being asked: {s:?}"),
-    };
+    let mut session = Session::start(ClusterSim::resume(cfg, params, wfs, &path).unwrap());
+    session.advance(session.horizon(), u64::MAX);
+    let resumed = session.finish();
     assert!(resumed.finished_at.is_some(), "resumed run must finish");
     let merged = |r: &lobster::RunReport| -> u64 { r.merged_files.iter().map(|m| m.1).sum() };
     assert_eq!(
