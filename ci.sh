@@ -98,8 +98,10 @@ step cargo test --offline -q --manifest-path perfbench/Cargo.toml
 # Chaos-sweep conformance: every scenarios/*.json library file plus ten
 # seeded random fault schedules, each checked against the four global
 # invariants (no hang, conservation, determinism, crash/resume).
-# Rewrites CONFORMANCE_chaos.json; invariant violations fail the gate,
-# trace-digest drift against the committed baseline only prints a notice.
+# Writes target/bench/CONFORMANCE_chaos.json and only reads the
+# committed CONFORMANCE_chaos.json; invariant violations fail the gate,
+# trace-digest drift against the committed baseline (per scenario and
+# per tenant) only prints a notice.
 step cargo run -q --release -p lobster-bench --bin bench_chaos
 
 echo

@@ -5,22 +5,26 @@
 //! (no hang, accounting conservation, trace determinism, crash/resume
 //! convergence). Any invariant violation fails the run (exit 1).
 //!
-//! Results go to `CONFORMANCE_chaos.json`. If a committed baseline is
-//! present, a trace digest that changed since the baseline prints a
-//! notice — digests legitimately move when simulation behaviour changes
-//! on purpose, so drift is surfaced for review rather than gated.
+//! Results go to `target/bench/CONFORMANCE_chaos.json`; the committed
+//! `CONFORMANCE_chaos.json` is only read, as the baseline. A trace digest
+//! (per scenario, and per tenant of a multi-tenant scenario) that changed
+//! since the baseline prints a notice — digests legitimately move when
+//! simulation behaviour changes on purpose, so drift is surfaced for
+//! review rather than gated. Re-recording the baseline is a copy of the
+//! fresh file over the committed one.
 
 use scenario::chaos::chaos_scenario;
 use scenario::runner::{ConformanceReport, MultiTenantConformance, ScenarioRunner};
 use scenario::spec::Scenario;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Fixed chaos sweep: ten seeds, disjoint from the tier-1 sampled pair so
 /// the release gate widens coverage instead of repeating it.
 const CHAOS_SEEDS: [u64; 10] = [1, 2, 4, 5, 6, 7, 8, 9, 10, 12];
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct ChaosBench {
     chaos_seeds: Vec<u64>,
     library: Vec<ConformanceReport>,
@@ -52,45 +56,39 @@ fn library_files() -> Vec<PathBuf> {
     files
 }
 
-/// `(scenario, trace_digest)` pairs from a committed baseline, if one
-/// exists and parses.
-fn read_baseline(path: &str) -> Vec<(String, String)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(v) = serde_json::from_str::<serde_json::Value>(&text) else {
-        eprintln!("bench_chaos: ignoring unparseable baseline {path}");
-        return Vec::new();
-    };
-    use serde_json::Value;
-    let mut out = Vec::new();
-    let Some(top) = v.as_object() else {
-        return out;
-    };
-    for section in ["library", "chaos"] {
-        let reports = Value::get_field(top, section)
-            .and_then(|p| match p {
-                Value::Array(items) => Some(items.as_slice()),
-                _ => None,
-            })
-            .unwrap_or(&[]);
-        for r in reports {
-            let Some(fields) = r.as_object() else {
-                continue;
-            };
-            let name = Value::get_field(fields, "scenario").and_then(Value::as_str);
-            let digest = Value::get_field(fields, "trace_digest").and_then(Value::as_str);
-            if let (Some(name), Some(digest)) = (name, digest) {
-                out.push((name.to_string(), digest.to_string()));
-            }
+/// The committed baseline, if one exists and parses.
+fn read_baseline(path: &str) -> Option<ChaosBench> {
+    let text = std::fs::read_to_string(path).ok()?;
+    match serde_json::from_str(&text) {
+        Ok(baseline) => Some(baseline),
+        Err(e) => {
+            eprintln!("bench_chaos: ignoring unparseable baseline {path}: {e}");
+            None
+        }
+    }
+}
+
+/// Every trace digest of a sweep, keyed by scenario name, or by
+/// `scenario/tenant` for a multi-tenant scenario's per-tenant digests.
+fn digests(bench: &ChaosBench) -> BTreeMap<String, &str> {
+    let mut out = BTreeMap::new();
+    for r in bench.library.iter().chain(&bench.chaos) {
+        out.insert(r.scenario.clone(), r.trace_digest.as_str());
+    }
+    for m in &bench.multitenant {
+        for t in &m.tenants {
+            out.insert(
+                format!("{}/{}", m.scenario, t.name),
+                t.trace_digest.as_str(),
+            );
         }
     }
     out
 }
 
 fn main() {
-    let out_path = "CONFORMANCE_chaos.json";
-    let baseline = read_baseline(out_path);
+    let baseline_path = "CONFORMANCE_chaos.json";
+    let baseline = read_baseline(baseline_path);
     let runner = ScenarioRunner::new("bench-chaos").expect("temp dir is writable");
     let mut failed = false;
 
@@ -172,7 +170,8 @@ fn main() {
         chaos,
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write(out_path, &json).expect("writable cwd");
+    let out_path =
+        lobster_bench::write_fresh_results(baseline_path, &json).expect("target/bench is writable");
     println!(
         "== bench_chaos ({} library + {} multi-tenant scenarios, {} chaos seeds) ==",
         result.library.len(),
@@ -182,22 +181,18 @@ fn main() {
 
     // Digest drift against the committed baseline is informational: the
     // invariants above are the gate, digests just make drift reviewable.
-    for (name, old_digest) in &baseline {
-        let new = result
-            .library
-            .iter()
-            .chain(&result.chaos)
-            .find(|r| &r.scenario == name);
-        match new {
-            Some(r) if &r.trace_digest != old_digest => {
+    let fresh = digests(&result);
+    for (key, old_digest) in baseline.as_ref().map(digests).unwrap_or_default() {
+        match fresh.get(&key) {
+            Some(&new_digest) if new_digest != old_digest => {
                 eprintln!(
-                    "bench_chaos: NOTICE digest drift for {name}: {old_digest} -> {} \
-                     (commit the refreshed {out_path} if intentional)",
-                    r.trace_digest
+                    "bench_chaos: NOTICE digest drift for {key}: {old_digest} -> {new_digest} \
+                     (copy {} over {baseline_path} if intentional)",
+                    out_path.display()
                 );
             }
             None => {
-                eprintln!("bench_chaos: NOTICE baseline scenario {name} no longer in the sweep");
+                eprintln!("bench_chaos: NOTICE baseline digest {key} no longer in the sweep");
             }
             _ => {}
         }

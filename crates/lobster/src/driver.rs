@@ -19,7 +19,7 @@ use crate::config::{LobsterConfig, WorkloadKind};
 use crate::db::LobsterDb;
 use crate::fault::{FaultPlan, FaultTarget};
 use crate::merge::{MergeMode, MergePlanner};
-use crate::monitor::{Accounting, Advisor, AdvisorConfig, SegmentHistograms, Timeline};
+use crate::monitor::{Accounting, AdvisorConfig, Monitor, SegmentHistograms, Timeline};
 use crate::session::{Session, Stop};
 use crate::workflow::Workflow;
 use crate::wrapper::{ReportBuilder, Segment, SegmentReport};
@@ -269,7 +269,8 @@ impl TaskTable {
     }
 }
 
-/// The harvestable outcome of a run.
+/// A run's outcome as of one instant: live from [`Session::status`],
+/// final from [`Session::finish`].
 #[derive(Debug)]
 pub struct RunReport {
     /// Figure 8 accounting.
@@ -315,28 +316,6 @@ pub struct RunReport {
     pub events_delivered: u64,
 }
 
-/// A live status sample ([`crate::Session::status`]): the operator's
-/// view of a running master without stopping it.
-#[derive(Clone, Debug)]
-pub struct OpsStatus {
-    /// Simulated instant of the sample.
-    pub now: SimTime,
-    /// Engine events delivered so far.
-    pub events_delivered: u64,
-    /// Tasks currently tracked by the master (queued + in flight).
-    pub live_tasks: u64,
-    /// Journaled run counters.
-    pub counters: crate::db::Counters,
-    /// Figure 8 accounting so far.
-    pub accounting: Accounting,
-    /// Advisor input signals so far: `(signal, mean minutes, samples)`.
-    pub advisor_signals: Vec<(&'static str, f64, u64)>,
-    /// §5 diagnosis at this instant.
-    pub advice: Vec<crate::monitor::Advice>,
-    /// Dead-lettered tasks so far.
-    pub dead_letters: u64,
-}
-
 /// The cluster simulation model.
 pub struct ClusterSim {
     cfg: LobsterConfig,
@@ -352,7 +331,7 @@ pub struct ClusterSim {
     table: WorkerTable,
     factory: WorkerFactory,
     pool: OpportunisticPool,
-    log: WorkerLog,
+    pub(crate) log: WorkerLog,
     worker_evict_ev: BTreeMap<u64, EventId>,
     /// Tasks running per worker, indexed by dense worker id (push order;
     /// eviction sorts the survivors so processing stays id-ordered).
@@ -383,14 +362,9 @@ pub struct ClusterSim {
     hadoop_groups: Vec<(Vec<(TaskId, u64)>, u64)>,
     hadoop_started: bool,
     sequential_planned: bool,
-    // Monitoring. Accounting, run counters and the dead-letter ledger
-    // live in the db (journaled, so they survive a master crash); only
-    // the diagnostic time lines stay driver-side.
-    timeline: Timeline,
-    advisor: Advisor,
-    seg_hist: SegmentHistograms,
-    analysis_done: TimeSeries,
-    merge_done: TimeSeries,
+    /// The diagnostic sink. Accounting, run counters and the dead-letter
+    /// ledger live in the db (journaled, so they survive a master crash).
+    pub(crate) monitor: Monitor,
     finished_at: Option<SimTime>,
     /// One adaptive sizing controller per workflow.
     sizers: Vec<AdaptiveSizer>,
@@ -557,9 +531,7 @@ impl ClusterSim {
             .map(|_| Server::new(params.foreman_capacity))
             .collect();
         let planner = MergePlanner::new(cfg.merge_target_bytes);
-        let timeline = Timeline::new(params.timeline_bin);
-        let analysis_done = TimeSeries::new(params.timeline_bin);
-        let merge_done = TimeSeries::new(params.timeline_bin);
+        let monitor = Monitor::new(params.timeline_bin);
         // One controller per workflow, each seeded from its own task size
         // (workflows may mix very different tasklet densities).
         let sizers: Vec<AdaptiveSizer> = cfg
@@ -607,11 +579,7 @@ impl ClusterSim {
             hadoop_groups: Vec::new(),
             hadoop_started: false,
             sequential_planned: false,
-            timeline,
-            advisor: Advisor::new(),
-            seg_hist: SegmentHistograms::new(),
-            analysis_done,
-            merge_done,
+            monitor,
             finished_at: None,
             sizers,
             watchdog_seq: 0,
@@ -629,19 +597,10 @@ impl ClusterSim {
     /// the recovered db after [`ClusterSim::resume`].
     fn reconcile_recovered(&mut self) {
         // Attempt reports replayed off the journal tail refill the
-        // diagnostic monitors (reports folded into a snapshot frame are
-        // gone from the time lines; their accounting survives in the db).
+        // monitor (reports folded into a snapshot frame are gone from
+        // the time lines; their accounting survives in the db).
         for report in self.db.take_replayed_attempts() {
-            self.timeline.record(&report);
-            self.advisor.record(&report);
-            self.seg_hist.record(&report);
-            if report.is_success() {
-                if report.category == Category::Merge {
-                    self.merge_done.mark(report.finished_at);
-                } else {
-                    self.analysis_done.mark(report.finished_at);
-                }
-            }
+            self.monitor.record(&report);
         }
         // Tasks created but never dispatched (the crash landed between
         // creation and dispatch) go straight back into the dispatch
@@ -783,20 +742,6 @@ impl ClusterSim {
         Ok(Some(session.finish()))
     }
 
-    /// Status sample for the ops plane.
-    pub(crate) fn ops_status(&self, now: SimTime, events_delivered: u64) -> OpsStatus {
-        OpsStatus {
-            now,
-            events_delivered,
-            live_tasks: self.tasks.live as u64,
-            counters: self.db.counters(),
-            accounting: self.db.accounting().clone(),
-            advisor_signals: self.advisor.signal_means(),
-            advice: self.advisor.diagnose(&AdvisorConfig::default()),
-            dead_letters: self.db.dead_letters().len() as u64,
-        }
-    }
-
     /// Fold the final model state into a [`RunReport`] ([`Session::finish`]).
     /// Public for the one harness that still drives the [`Engine`]
     /// itself, the benchmark's (`perfbench`) instrumented loop.
@@ -804,19 +749,35 @@ impl ClusterSim {
         // A completed run is a durability boundary: drain any open
         // group-commit window before reporting.
         self.db.flush();
-        let concurrency = self.timeline.concurrency();
+        let monitor = std::mem::replace(&mut self.monitor, Monitor::new(self.params.timeline_bin));
+        let worker_log = std::mem::take(&mut self.log);
+        self.report(monitor, worker_log, ended_at, events_delivered)
+    }
+
+    /// The run's report as of `ended_at`, the one constructor behind a
+    /// finished run ([`ClusterSim::into_report`] moves the monitor and
+    /// the worker log in) and a live one ([`Session::status`] passes
+    /// copies).
+    pub(crate) fn report(
+        &self,
+        monitor: Monitor,
+        worker_log: WorkerLog,
+        ended_at: SimTime,
+        events_delivered: u64,
+    ) -> RunReport {
+        let concurrency = monitor.timeline.concurrency();
         let peak = concurrency.iter().copied().fold(0.0, f64::max);
         let counters = self.db.counters();
         RunReport {
-            advice: self.advisor.diagnose(&AdvisorConfig::default()),
-            advisor_signals: self.advisor.signal_means(),
-            segment_histograms: self.seg_hist,
+            advice: monitor.advisor.diagnose(&AdvisorConfig::default()),
+            advisor_signals: monitor.advisor.signal_means(),
+            segment_histograms: monitor.segments,
             accounting: self.db.accounting().clone(),
-            timeline: self.timeline,
-            analysis_done: self.analysis_done,
-            merge_done: self.merge_done,
+            timeline: monitor.timeline,
+            analysis_done: monitor.analysis_done,
+            merge_done: monitor.merge_done,
             dashboard: self.fed.dashboard(),
-            worker_log: self.log,
+            worker_log,
             tasks_completed: counters.tasks_completed,
             tasks_failed: counters.tasks_failed,
             evictions: counters.evictions,
@@ -1544,7 +1505,6 @@ impl ClusterSim {
         self.release_task_slot(worker, id);
         self.ingest(&report, t.wf);
         if t.category == Category::Merge {
-            self.merge_done.mark(now);
             let inputs = t.merge_inputs.take().expect("merge task");
             let ids: Vec<TaskId> = inputs.iter().map(|i| i.0).collect();
             let bytes: u64 = inputs.iter().map(|i| i.1).sum();
@@ -1554,7 +1514,6 @@ impl ClusterSim {
                 debug_assert!(false, "completed merge the db rejects: {e}");
             }
         } else {
-            self.analysis_done.mark(now);
             if let Err(e) = self.db.mark_done(id, t.output_bytes) {
                 debug_assert!(false, "completed task the db rejects: {e}");
             }
@@ -1683,7 +1642,7 @@ impl ClusterSim {
         if let Err(e) = self.db.mark_merged(None, &ids, &name, bytes) {
             debug_assert!(false, "completed hadoop merge the db rejects: {e}");
         }
-        self.merge_done.mark(now);
+        self.monitor.mark_merge(now);
         self.check_finished(now);
         let _ = ctx;
     }
@@ -1850,7 +1809,7 @@ impl ClusterSim {
             units,
             at: now,
         });
-        self.timeline.record_dead_letter(now);
+        self.monitor.record_dead_letter(now);
         // Withdrawing work can complete the analysis phase, which in turn
         // unblocks the merge planner's flush conditions.
         self.maybe_plan_merges(now, ctx);
@@ -1968,9 +1927,7 @@ impl ClusterSim {
         // The attempt is journaled: accounting and the failure/eviction
         // counters are rebuilt from these records on recovery.
         self.db.record_attempt(report);
-        self.timeline.record(report);
-        self.advisor.record(report);
-        self.seg_hist.record(report);
+        self.monitor.record(report);
         if self.params.adaptive {
             if let Some(sizer) = self.sizers.get_mut(wf) {
                 sizer.record(report);
@@ -2394,10 +2351,7 @@ pub(crate) mod tests {
         let (c2, p2, w2) = mk();
         let a = ClusterSim::run(c1, p1, w1);
         let b = ClusterSim::run(c2, p2, w2);
-        assert_eq!(a.tasks_completed, b.tasks_completed);
-        assert_eq!(a.tasks_failed, b.tasks_failed);
-        assert_eq!(a.evictions, b.evictions);
-        assert_eq!(a.finished_at, b.finished_at);
+        assert_eq!(crate::ops::run_trace(&a), crate::ops::run_trace(&b));
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   failure codes (§3, §5).
 //! * [`merge`] — sequential / Hadoop / interleaved output merging (§4.4,
 //!   Figure 7), with a *real* threaded Map-Reduce path.
-//! * [`monitor`] — monitoring, accounting (Figure 8) and the
-//!   troubleshooting advisor of §5.
+//! * [`monitor`] — the run's one diagnostic sink (time lines, segment
+//!   histograms, the troubleshooting advisor of §5) and the Figure 8
+//!   accounting.
 //! * [`adaptive`] — dynamic task sizing from observed eviction rates (the
 //!   paper's future-work feature, §8).
 //! * [`fault`] — fault-injection plans that degrade or black-hole a
@@ -32,10 +33,11 @@
 //!   demand).
 //! * [`driver`] — the full-cluster discrete-event driver behind the §6
 //!   production runs (Figures 9–11).
-//! * [`session`] — one running master: advance it in slices, sample its
-//!   live status, and finish, pause (a durable checkpoint) or crash it.
-//! * [`ops`] — the bridge into the `opsplane` crate: lower a finished
-//!   run into a deterministic `metrics.json` snapshot.
+//! * [`session`] — one running master: advance it in slices, take its
+//!   live report, and finish, pause (a durable checkpoint) or crash it.
+//! * [`ops`] — the bridge into the `opsplane` crate: lower a live or
+//!   finished run into a deterministic `metrics.json` snapshot, and
+//!   serialise its digestible trace.
 //! * [`local`] — the laptop-scale driver that runs real closures through
 //!   `wqueue::local` (quickstart path).
 
@@ -57,6 +59,6 @@ pub mod wrapper;
 
 pub use config::LobsterConfig;
 pub use db::LobsterDb;
-pub use driver::{ClusterSim, OpsStatus, RunReport};
+pub use driver::{ClusterSim, RunReport};
 pub use session::{Session, Stop};
 pub use workflow::Workflow;

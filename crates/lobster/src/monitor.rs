@@ -1,23 +1,82 @@
 //! Monitoring, accounting and troubleshooting (§5).
 //!
-//! Every wrapper attempt produces a [`SegmentReport`]; the monitor ingests
-//! them into:
+//! Every wrapper attempt produces a [`SegmentReport`]. [`Monitor`] is the
+//! one diagnostic sink that ingests them, through one
+//! [`Monitor::record`] on both the live path and the journal-replay
+//! path. It owns:
 //!
-//! * [`Accounting`] — the runtime breakdown of Figure 8 (CPU / I/O /
-//!   failed / WQ stage-in / WQ stage-out hours and fractions);
 //! * [`Timeline`] — the per-time-bin series of Figures 10 and 11
 //!   (concurrent tasks, completions, failures, CPU/wall efficiency,
 //!   setup and stage-out times);
 //! * [`Advisor`] — the §5 diagnosis rules, mapping metric pathologies to
 //!   operator advice (task size too high → eviction losses; slow sandbox
 //!   stage-in → more foremen; long setup → overloaded squid; long
-//!   stage-in/out → overloaded chirp).
+//!   stage-in/out → overloaded chirp);
+//! * [`SegmentHistograms`] — the §5 per-segment duration histograms;
+//! * the analysis and merge completion series of Figure 7.
+//!
+//! The monitor is diagnostic state only: it is not journaled, and a
+//! resumed master refills it from the attempts replayed off the journal
+//! tail. What must survive a crash — the Figure 8 [`Accounting`], the run
+//! counters and the dead-letter ledger — is journaled in the Lobster DB
+//! ([`crate::db`]), which folds every attempt into its own [`Accounting`].
 
 use crate::wrapper::{Segment, SegmentReport};
 use serde::{Deserialize, Serialize};
 use simkit::stats::{Histogram, TimeSeries};
 use simkit::time::{SimDuration, SimTime};
-use wqueue::task::FailureCode;
+use wqueue::task::{Category, FailureCode};
+
+/// The run's one diagnostic sink: every attempt report goes through
+/// [`Monitor::record`], and the two events that are not attempts (a
+/// Hadoop merge group finishing, a task being dead-lettered) through
+/// their point marks.
+#[derive(Clone, Debug)]
+pub struct Monitor {
+    pub(crate) timeline: Timeline,
+    pub(crate) advisor: Advisor,
+    pub(crate) segments: SegmentHistograms,
+    pub(crate) analysis_done: TimeSeries,
+    pub(crate) merge_done: TimeSeries,
+}
+
+impl Monitor {
+    /// Empty monitor whose time lines use bins of width `bin`.
+    pub fn new(bin: SimDuration) -> Self {
+        Monitor {
+            timeline: Timeline::new(bin),
+            advisor: Advisor::new(),
+            segments: SegmentHistograms::new(),
+            analysis_done: TimeSeries::new(bin),
+            merge_done: TimeSeries::new(bin),
+        }
+    }
+
+    /// Ingest one attempt. A successful attempt also marks the
+    /// completion series of its category at its finish instant.
+    pub fn record(&mut self, r: &SegmentReport) {
+        self.timeline.record(r);
+        self.advisor.record(r);
+        self.segments.record(r);
+        if r.is_success() {
+            if r.category == Category::Merge {
+                self.merge_done.mark(r.finished_at);
+            } else {
+                self.analysis_done.mark(r.finished_at);
+            }
+        }
+    }
+
+    /// Mark a merge that ran outside any attempt (a Hadoop merge group).
+    pub fn mark_merge(&mut self, at: SimTime) {
+        self.merge_done.mark(at);
+    }
+
+    /// Mark a task landing in the dead-letter ledger at `at`.
+    pub fn record_dead_letter(&mut self, at: SimTime) {
+        self.timeline.record_dead_letter(at);
+    }
+}
 
 /// Figure 8: cumulative runtime by phase.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]

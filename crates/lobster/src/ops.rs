@@ -1,6 +1,8 @@
-//! Bridge from a finished run to the ops plane.
+//! Bridge from a run to the ops plane.
 //!
-//! [`snapshot_from_run`] lowers a [`RunReport`] into an
+//! [`snapshot_from_run`] lowers any [`RunReport`] — a live one from
+//! [`crate::Session::status`] or a finished one from
+//! [`crate::Session::finish`] — into an
 //! [`opsplane::MetricsSnapshot`]: counters and gauges go through the
 //! typed [`opsplane::Registry`] (name-sorted on export), time lines
 //! become series keyed by the timeline bin width, and the §5 diagnostic
@@ -8,17 +10,76 @@
 //! means, advisor signals and advice, dead letters, transfer dashboard)
 //! are materialised row by row. Everything is derived from simulated
 //! time and journaled state, so the same seed produces a byte-identical
-//! snapshot.
+//! snapshot. [`run_trace`] serialises the smaller record whose FNV-1a
+//! digest the determinism checks compare.
 
 use crate::config::LobsterConfig;
 use crate::driver::{RunReport, SimParams};
+use crate::monitor::Accounting;
 use opsplane::{
     AccountingRow, DeadLetterRow, LabelCount, MetricsSnapshot, Registry, RunMeta, SegmentRow,
     SignalRow, TransferRow,
 };
+use serde::Serialize;
+use simkit::time::SimTime;
+use simkit::trace::Trace;
 use std::collections::BTreeMap;
 
-/// Lower a finished run into a deterministic metrics snapshot.
+/// Everything observable about a run that is cheap to serialise. The
+/// field set and order fix the bytes behind the committed conformance
+/// digests.
+#[derive(Serialize)]
+struct RunTraceRecord<'a> {
+    tasks_completed: u64,
+    tasks_failed: u64,
+    evictions: u64,
+    merges_completed: u64,
+    final_task_size: u32,
+    peak_concurrency: f64,
+    finished_at: Option<SimTime>,
+    accounting: &'a Accounting,
+    merged_files: &'a [(String, u64)],
+    dashboard: &'a [(String, f64)],
+    dead_letter_units: u64,
+    concurrency: Vec<f64>,
+    completions: Vec<f64>,
+    failures: Vec<f64>,
+    efficiency: Vec<f64>,
+}
+
+/// A run's trace: one JSON line (`simkit::trace` format, stamped with
+/// `ended_at`) holding its counters, accounting, merged files, transfer
+/// dashboard, dead-lettered units and the Figure 10 time lines. Same seed,
+/// same bytes; digest them with [`simkit::trace::fnv1a`].
+pub fn run_trace(report: &RunReport) -> Vec<u8> {
+    let record = RunTraceRecord {
+        tasks_completed: report.tasks_completed,
+        tasks_failed: report.tasks_failed,
+        evictions: report.evictions,
+        merges_completed: report.merges_completed,
+        final_task_size: report.final_task_size,
+        peak_concurrency: report.peak_concurrency,
+        finished_at: report.finished_at,
+        accounting: &report.accounting,
+        merged_files: &report.merged_files,
+        dashboard: &report.dashboard,
+        dead_letter_units: report.dead_letters.iter().map(|d| d.units).sum(),
+        concurrency: report.timeline.concurrency(),
+        completions: report.timeline.completions(),
+        failures: report.timeline.failures(),
+        efficiency: report.timeline.efficiency(),
+    };
+    let mut trace = Trace::new();
+    trace.push(report.ended_at, record);
+    let mut buf = Vec::new();
+    trace
+        .write_jsonl(&mut buf)
+        // simlint::allow(no-panic-in-lib): writing into a Vec cannot fail
+        .expect("writing to a Vec cannot fail");
+    buf
+}
+
+/// Lower a run, live or finished, into a deterministic metrics snapshot.
 ///
 /// `name` labels the run (scenario or bench name); `cfg` and `params`
 /// supply the seed and horizon recorded in [`RunMeta`].

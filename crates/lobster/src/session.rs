@@ -13,7 +13,7 @@
 //! `advance` calls delivers the same events in the same order as one
 //! call, so the report is the same too.
 
-use crate::driver::{ClusterSim, Ev, OpsStatus, RunReport};
+use crate::driver::{ClusterSim, Ev, RunReport};
 use simkit::fault::CrashSite;
 use simkit::prelude::*;
 use std::io;
@@ -81,9 +81,12 @@ impl Session {
         self.engine.model_mut()
     }
 
-    /// A live status sample for the ops plane.
-    pub fn status(&self) -> OpsStatus {
-        self.sim().ops_status(self.now(), self.delivered())
+    /// The run's report as of now, without stopping it: the same
+    /// [`RunReport`] [`Session::finish`] would harvest here, so a live
+    /// metrics snapshot is `ops::snapshot_from_run` of it.
+    pub fn status(&self) -> RunReport {
+        let (sim, now, delivered) = (self.sim(), self.now(), self.delivered());
+        sim.report(sim.monitor.clone(), sim.log.clone(), now, delivered)
     }
 
     /// End the run here and harvest its report (a durability boundary:
@@ -192,6 +195,32 @@ mod tests {
         }
         let report = in_time_slices(SimDuration::from_mins(5));
         assert_eq!(trace(&report), expected, "5-minute slices");
+    }
+
+    /// A live status lowers to a valid snapshot whose counters only grow,
+    /// and once the run drains it is the finished run's snapshot.
+    #[test]
+    fn live_status_snapshots_grow_into_the_finished_one() {
+        let mut whole = session();
+        whole.advance(whole.horizon(), u64::MAX);
+        let third = whole.delivered() / 3;
+        let mut s = session();
+        let mut polls = Vec::new();
+        for _ in 0..2 {
+            assert_eq!(s.advance(s.horizon(), third), Stop::Budget);
+            let snap = opsplane::MetricsSnapshot::from_json(&trace(&s.status())).expect("parses");
+            snap.validate().expect("a live snapshot validates");
+            assert!(!snap.run.finished, "polled mid-run");
+            polls.push(snap);
+        }
+        assert!(polls[0].counter("tasks_completed") > Some(0), "no progress");
+        for c in &polls[0].counters {
+            let later = polls[1].counter(&c.name).expect("same counters");
+            assert!(later >= c.value, "{} fell to {later}", c.name);
+        }
+        assert_eq!(s.advance(s.horizon(), u64::MAX), Stop::Drained);
+        let live = trace(&s.status());
+        assert_eq!(live, trace(&s.finish()));
     }
 
     #[test]

@@ -17,13 +17,12 @@ use crate::compile::{compile, compile_multitenant, Compiled};
 use crate::spec::{Scenario, ScenarioError};
 use lobster::db::LobsterDb;
 use lobster::driver::{ClusterSim, RunReport};
-use lobster::monitor::Accounting;
+use lobster::ops::run_trace;
 use lobster::{Session, Stop};
 use opsplane::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
 use simkit::fault::CrashSite;
-use simkit::time::SimTime;
-use simkit::trace::Trace;
+use simkit::trace::fnv1a;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -101,64 +100,6 @@ pub struct ConformanceReport {
     pub horizon_us: u64,
     /// FNV-1a digest of the serialised run trace, hex.
     pub trace_digest: String,
-}
-
-/// Everything observable about a run that is cheap to serialise — the
-/// determinism invariant hashes this record's bytes.
-#[derive(Serialize)]
-struct RunTraceRecord {
-    tasks_completed: u64,
-    tasks_failed: u64,
-    evictions: u64,
-    merges_completed: u64,
-    final_task_size: u32,
-    peak_concurrency: f64,
-    finished_at: Option<SimTime>,
-    accounting: Accounting,
-    merged_files: Vec<(String, u64)>,
-    dashboard: Vec<(String, f64)>,
-    dead_letter_units: u64,
-    concurrency: Vec<f64>,
-    completions: Vec<f64>,
-    failures: Vec<f64>,
-    efficiency: Vec<f64>,
-}
-
-/// FNV-1a over the serialised trace bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Serialise the observable run state and digest it.
-fn trace_bytes(report: &RunReport) -> io::Result<(Vec<u8>, u64)> {
-    let record = RunTraceRecord {
-        tasks_completed: report.tasks_completed,
-        tasks_failed: report.tasks_failed,
-        evictions: report.evictions,
-        merges_completed: report.merges_completed,
-        final_task_size: report.final_task_size,
-        peak_concurrency: report.peak_concurrency,
-        finished_at: report.finished_at,
-        accounting: report.accounting.clone(),
-        merged_files: report.merged_files.clone(),
-        dashboard: report.dashboard.clone(),
-        dead_letter_units: report.dead_letters.iter().map(|d| d.units).sum(),
-        concurrency: report.timeline.concurrency(),
-        completions: report.timeline.completions(),
-        failures: report.timeline.failures(),
-        efficiency: report.timeline.efficiency(),
-    };
-    let mut trace = Trace::new();
-    trace.push(report.ended_at, record);
-    let mut buf = Vec::new();
-    trace.write_jsonl(&mut buf)?;
-    let digest = fnv1a(&buf);
-    Ok((buf, digest))
 }
 
 /// Runs scenarios and checks the four invariants. Owns a scratch
@@ -284,8 +225,8 @@ impl ScenarioRunner {
             workflows,
         } = compile(sc)?;
         let memory = ClusterSim::run(cfg, params, workflows);
-        let (ref_bytes, ref_digest) = trace_bytes(&reference)?;
-        let (mem_bytes, mem_digest) = trace_bytes(&memory)?;
+        let (ref_bytes, mem_bytes) = (run_trace(&reference), run_trace(&memory));
+        let (ref_digest, mem_digest) = (fnv1a(&ref_bytes), fnv1a(&mem_bytes));
         if ref_bytes != mem_bytes {
             return Self::invariant(
                 sc,

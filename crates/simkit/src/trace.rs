@@ -75,6 +75,17 @@ impl<T: Serialize> Trace<T> {
     }
 }
 
+/// 64-bit FNV-1a hash of `bytes`: the digest of a serialised trace,
+/// committed in conformance baselines, so it must never change.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +123,13 @@ mod tests {
         tr.write_jsonl(&mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
         assert_eq!(s, "{\"t_us\":5,\"record\":42}\n");
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

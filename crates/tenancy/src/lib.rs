@@ -39,7 +39,7 @@ use serde::Serialize;
 use simkit::fault::CrashSite;
 use simkit::prelude::*;
 use simkit::rng::SimRng;
-use simkit::trace::Trace;
+use simkit::trace::{fnv1a, Trace};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -798,15 +798,6 @@ fn trace_digest(report: &RunReport) -> u64 {
     // from a serialiser bug and then digests would still be consistent.
     let _ = trace.write_jsonl(&mut buf);
     fnv1a(&buf)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -15,43 +15,12 @@ use batchsim::pool::PoolConfig;
 use lobster::config::{LobsterConfig, WorkflowConfig};
 use lobster::driver::{ClusterSim, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
-use lobster::monitor::Accounting;
+use lobster::ops::run_trace;
 use lobster::workflow::Workflow;
-use serde::Serialize;
 use simkit::time::{SimDuration, SimTime};
-use simkit::trace::Trace;
+use simkit::trace::fnv1a;
 use simkit::EngineKind;
 use simnet::outage::{Outage, OutageSchedule};
-
-/// Everything observable about a run, serialised through `simkit::trace`
-/// exactly like the determinism integration test does.
-#[derive(Serialize)]
-struct RunTraceRecord {
-    tasks_completed: u64,
-    tasks_failed: u64,
-    evictions: u64,
-    merges_completed: u64,
-    final_task_size: u32,
-    peak_concurrency: f64,
-    finished_at: Option<SimTime>,
-    accounting: Accounting,
-    merged_files: Vec<(String, u64)>,
-    dashboard: Vec<(String, f64)>,
-    concurrency: Vec<f64>,
-    completions: Vec<f64>,
-    failures: Vec<f64>,
-    efficiency: Vec<f64>,
-}
-
-/// FNV-1a over the serialised trace bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Key report fields compared directly (on top of the byte comparison) so
 /// a failure names the first field that diverged.
@@ -122,29 +91,7 @@ fn campaign(seed: u64, faults: bool, foremen: u32, engine: EngineKind) -> (Vec<u
         finished_at: report.finished_at,
         events_delivered: report.events_delivered,
     };
-    let record = RunTraceRecord {
-        tasks_completed: report.tasks_completed,
-        tasks_failed: report.tasks_failed,
-        evictions: report.evictions,
-        merges_completed: report.merges_completed,
-        final_task_size: report.final_task_size,
-        peak_concurrency: report.peak_concurrency,
-        finished_at: report.finished_at,
-        accounting: report.accounting.clone(),
-        merged_files: report.merged_files.clone(),
-        dashboard: report.dashboard.clone(),
-        concurrency: report.timeline.concurrency(),
-        completions: report.timeline.completions(),
-        failures: report.timeline.failures(),
-        efficiency: report.timeline.efficiency(),
-    };
-    let mut trace = Trace::new();
-    trace.push(report.ended_at, record);
-    let mut buf = Vec::new();
-    trace
-        .write_jsonl(&mut buf)
-        .expect("writing to a Vec cannot fail");
-    (buf, facts)
+    (run_trace(&report), facts)
 }
 
 /// Compare one (seed, faults, foremen) cell across both backends.

@@ -13,12 +13,11 @@ use lobster::db::LobsterDb;
 use lobster::driver::{ClusterSim, SimParams};
 use lobster::local::{LocalConfig, LocalLobster, TaskletFn};
 use lobster::merge::{merge_in_hadoop, MergeMode, MergePlanner};
-use lobster::monitor::Accounting;
+use lobster::ops::run_trace;
 use lobster::tasksize::{simulate, TaskSizeConfig};
 use lobster::workflow::Workflow;
-use serde::Serialize;
-use simkit::time::{SimDuration, SimTime};
-use simkit::trace::Trace;
+use simkit::time::SimDuration;
+use simkit::trace::fnv1a;
 use simnet::outage::OutageSchedule;
 use std::sync::Arc;
 use std::time::Duration;
@@ -117,35 +116,6 @@ fn sim_pipeline_conserves_output_bytes() {
 /// hash-order iteration) shows up as a digest mismatch.
 #[test]
 fn same_seed_runs_serialise_to_identical_traces() {
-    /// Everything observable about a run that is cheap to serialise.
-    #[derive(Serialize)]
-    struct RunTraceRecord {
-        tasks_completed: u64,
-        tasks_failed: u64,
-        evictions: u64,
-        merges_completed: u64,
-        final_task_size: u32,
-        peak_concurrency: f64,
-        finished_at: Option<SimTime>,
-        accounting: Accounting,
-        merged_files: Vec<(String, u64)>,
-        dashboard: Vec<(String, f64)>,
-        concurrency: Vec<f64>,
-        completions: Vec<f64>,
-        failures: Vec<f64>,
-        efficiency: Vec<f64>,
-    }
-
-    /// FNV-1a over the serialised trace bytes.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     let run_once = || {
         let mut cfg = LobsterConfig::default();
         cfg.workers.target_cores = 64;
@@ -170,29 +140,7 @@ fn same_seed_runs_serialise_to_identical_traces() {
             horizon: SimDuration::from_hours(250),
             ..SimParams::default()
         };
-        let report = ClusterSim::run(cfg, params, vec![wf]);
-        let record = RunTraceRecord {
-            tasks_completed: report.tasks_completed,
-            tasks_failed: report.tasks_failed,
-            evictions: report.evictions,
-            merges_completed: report.merges_completed,
-            final_task_size: report.final_task_size,
-            peak_concurrency: report.peak_concurrency,
-            finished_at: report.finished_at,
-            accounting: report.accounting.clone(),
-            merged_files: report.merged_files.clone(),
-            dashboard: report.dashboard.clone(),
-            concurrency: report.timeline.concurrency(),
-            completions: report.timeline.completions(),
-            failures: report.timeline.failures(),
-            efficiency: report.timeline.efficiency(),
-        };
-        let mut trace = Trace::new();
-        trace.push(report.ended_at, record);
-        let mut buf = Vec::new();
-        trace
-            .write_jsonl(&mut buf)
-            .expect("writing to a Vec cannot fail");
+        let buf = run_trace(&ClusterSim::run(cfg, params, vec![wf]));
         let digest = fnv1a(&buf);
         (buf, digest)
     };
@@ -295,11 +243,7 @@ fn config_json_roundtrip_drives_identical_run() {
         };
         ClusterSim::run(cfg, params, vec![wf])
     };
-    let a = run(cfg);
-    let b = run(cfg2);
-    assert_eq!(a.tasks_completed, b.tasks_completed);
-    assert_eq!(a.finished_at, b.finished_at);
-    assert_eq!(a.evictions, b.evictions);
+    assert_eq!(run_trace(&run(cfg)), run_trace(&run(cfg2)));
 }
 
 /// The Lobster DB journal written during a (simulated) crash replays to
@@ -589,9 +533,16 @@ fn ops_pause_checkpoint_resume_converges() {
         "status carries progress"
     );
     session.pause().unwrap();
+    // Mid-run: input already streams to tasks in flight (none has
+    // completed yet at this point), and work is left.
+    let pulled: f64 = status.dashboard.iter().map(|d| d.1).sum();
     assert!(
-        status.live_tasks > 0 || status.counters.tasks_completed > 0,
-        "pause landed mid-run: {status:?}"
+        pulled > 0.0
+            && status.finished_at.is_none()
+            && status.tasks_completed < reference.tasks_completed,
+        "pause landed mid-run: {pulled} bytes pulled, {} of {} tasks completed",
+        status.tasks_completed,
+        reference.tasks_completed
     );
 
     // Resume from the checkpoint and run to the end.
