@@ -178,6 +178,13 @@ enum MergeState {
     Withdrawn,
 }
 
+impl MergeState {
+    /// Free or grouped: not yet inside a merged file, not withdrawn.
+    fn mergeable(self) -> bool {
+        matches!(self, MergeState::Free | MergeState::Grouped)
+    }
+}
+
 /// The `(producer, bytes)` inputs of one planned merge group.
 pub type MergeInputs = Vec<(TaskId, u64)>;
 
@@ -398,6 +405,10 @@ pub struct LobsterDb {
     merge_state: Vec<MergeState>,
     /// `Merged` entries in `merge_state` (the snapshot's list length).
     n_merged: usize,
+    /// Output rows whose state is `Free` or `Grouped` (a row-less id is
+    /// always `Free`): the merge backlog, `unmerged_outputs().len()`
+    /// without the scan.
+    n_unmerged: usize,
     /// The ledger in dead-letter order (sequence-sorted on replay).
     dead_letters: Vec<DeadLetter>,
     /// `seq` of each ledger entry — parallel, ascending.
@@ -433,6 +444,7 @@ impl LobsterDb {
             merge_groups: BTreeMap::new(),
             merge_state: Vec::new(),
             n_merged: 0,
+            n_unmerged: 0,
             dead_letters: Vec::new(),
             dead_letter_seqs: Vec::new(),
             accounting: Accounting::default(),
@@ -972,6 +984,7 @@ impl LobsterDb {
             .collect();
         self.merge_state.fill(MergeState::Free);
         self.n_merged = 0;
+        self.n_unmerged = self.outputs.iter().flatten().count();
         for (src, _) in m.merge_groups.iter().flat_map(|(_, inputs)| inputs) {
             self.set_merge_state(*src, MergeState::Grouped);
         }
@@ -1036,7 +1049,10 @@ impl LobsterDb {
             self.outputs.resize(ix + 1, None);
             self.merge_state.resize(ix + 1, MergeState::Free);
         }
-        self.outputs[ix] = Some(out);
+        // A new row's state is `Free`: states are only ever set on rows.
+        if self.outputs[ix].replace(out).is_none() {
+            self.n_unmerged += 1;
+        }
     }
 
     /// Merge state of `id`'s output (`Free` past the column's end).
@@ -1048,24 +1064,22 @@ impl LobsterDb {
             .unwrap_or_default()
     }
 
-    /// Move `id`'s output to `to`, keeping the merged count. The column
-    /// is sized with the output rows, so `id` must have one.
+    /// Move `id`'s output to `to`, keeping the merged and unmerged
+    /// counts. The column is sized with the output rows, and `id` must
+    /// have one (callers and replay checks guarantee it).
     fn set_merge_state(&mut self, id: TaskId, to: MergeState) {
-        let slot = &mut self.merge_state[id.0 as usize];
-        let was_merged = matches!(*slot, MergeState::Merged(_));
+        let from = std::mem::replace(&mut self.merge_state[id.0 as usize], to);
+        let was_merged = matches!(from, MergeState::Merged(_));
         let is_merged = matches!(to, MergeState::Merged(_));
-        *slot = to;
         self.n_merged = self.n_merged - usize::from(was_merged) + usize::from(is_merged);
+        self.n_unmerged =
+            self.n_unmerged - usize::from(from.mergeable()) + usize::from(to.mergeable());
     }
 
     /// True when `id`'s output exists and is still mergeable (free or
     /// grouped).
     fn output_mergeable(&self, id: TaskId) -> bool {
-        self.output_row(id).is_some()
-            && matches!(
-                self.merge_state_of(id),
-                MergeState::Free | MergeState::Grouped
-            )
+        self.output_row(id).is_some() && self.merge_state_of(id).mergeable()
     }
 
     /// True when `id`'s output exists and no merge has claimed it.
@@ -1352,6 +1366,14 @@ impl LobsterDb {
             .collect()
     }
 
+    /// How many outputs are neither merged nor withdrawn — the length of
+    /// [`LobsterDb::unmerged_outputs`], kept as a count. It covers outputs
+    /// in planned, queued and in-flight merges: it only drops when a merge
+    /// completes or is dead-lettered.
+    pub fn merge_backlog(&self) -> usize {
+        self.n_unmerged
+    }
+
     /// Unmerged, unwithdrawn outputs not claimed by any open merge group,
     /// in task *finish* order — the shape of the driver's pending-merge
     /// buffer at crash time.
@@ -1361,6 +1383,12 @@ impl LobsterDb {
             .filter(|id| self.output_free(**id))
             .filter_map(|id| self.output_row(*id).map(|o| (o.task, o.bytes)))
             .collect()
+    }
+
+    /// Inputs of the open merge group `id` (`None` once it completed or
+    /// was dead-lettered).
+    pub fn merge_group(&self, id: TaskId) -> Option<&[(TaskId, u64)]> {
+        self.merge_groups.get(&id).map(Vec::as_slice)
     }
 
     /// Open (planned, incomplete) merge groups as `(merge id, inputs)`.
@@ -3114,13 +3142,19 @@ mod tests {
         );
         assert_eq!(live.2.len(), 2, "two groups stay open");
         assert_eq!(db.n_merged, 12 + 2 + 1);
+        // The backlog count summarises exactly the unmerged outputs.
+        let backlog = |db: &LobsterDb| (db.merge_backlog(), db.unmerged_outputs().len());
+        assert_eq!(backlog(&db), (7, 7), "live");
 
         let replayed = LobsterDb::recover(&path).unwrap();
         assert!(merge_view(&replayed) == live, "full replay");
+        assert_eq!(backlog(&replayed), (7, 7), "full replay");
         db.compact().unwrap();
+        assert_eq!(backlog(&db), (7, 7), "after compaction");
         drop(db);
         let recovered = LobsterDb::recover(&path).unwrap();
         assert!(merge_view(&recovered) == live, "snapshot replay");
+        assert_eq!(backlog(&recovered), (7, 7), "snapshot replay");
         // File ids are creation order live but name order after a
         // snapshot install, so the column itself is not compared.
         assert_eq!(recovered.n_merged, replayed.n_merged);

@@ -18,7 +18,7 @@ use crate::adaptive::{AdaptiveConfig, AdaptiveSizer};
 use crate::config::{LobsterConfig, WorkloadKind};
 use crate::db::LobsterDb;
 use crate::fault::{FaultPlan, FaultTarget};
-use crate::merge::{MergeMode, MergePlanner};
+use crate::merge::{MergeGroup, MergeMode, MergePlanner};
 use crate::monitor::{Accounting, AdvisorConfig, Monitor, SegmentHistograms, Timeline};
 use crate::session::{Session, Stop};
 use crate::workflow::Workflow;
@@ -194,11 +194,40 @@ struct TaskInfo {
     phase_started: SimTime,
     env_flow: Option<(usize, FlowId)>,
     data_flow: Option<FlowId>,
-    /// Outputs a merge task combines (None for analysis tasks).
-    merge_inputs: Option<Vec<(TaskId, u64)>>,
     attempt: u32,
     /// Armed segment watchdog: (sequence, guarded segment, deadline event).
     watchdog: Option<(u64, Segment, EventId)>,
+}
+
+impl TaskInfo {
+    /// A task waiting for dispatch since `at`, with `attempt` dispatches
+    /// behind it. A merge task's inputs stay in the db's open group.
+    fn queued(
+        wf: usize,
+        category: Category,
+        input_bytes: u64,
+        output_bytes: u64,
+        cpu: SimDuration,
+        at: SimTime,
+        attempt: u32,
+    ) -> Self {
+        TaskInfo {
+            wf,
+            category,
+            input_bytes,
+            output_bytes,
+            cpu,
+            phase: Phase::Queued,
+            worker: None,
+            builder: None,
+            enqueued_at: at,
+            phase_started: at,
+            env_flow: None,
+            data_flow: None,
+            attempt,
+            watchdog: None,
+        }
+    }
 }
 
 /// In-flight task ledger. Analysis ids are handed out densely from 0,
@@ -352,16 +381,12 @@ pub struct ClusterSim {
     fed_flows: BTreeMap<FlowId, TaskId>,
     chirp: ChirpServer,
     catalog: ReleaseFootprint,
-    planner: MergePlanner,
     /// Finished outputs not yet claimed by any merge group, in finish
-    /// order (incremental — avoids rescanning the DB per completion).
-    pending_outputs: VecDeque<(TaskId, u64)>,
-    pending_bytes: u64,
-    /// Outputs not yet inside a *completed* merged file.
-    unmerged_count: u64,
-    hadoop_groups: Vec<(Vec<(TaskId, u64)>, u64)>,
-    hadoop_started: bool,
-    sequential_planned: bool,
+    /// order (fed per completion — no rescan of the db).
+    planner: MergePlanner,
+    hadoop_groups: Vec<MergeGroup>,
+    /// Sequential / Hadoop: the end-of-processing merge plan is made.
+    end_planned: bool,
     /// The diagnostic sink. Accounting, run counters and the dead-letter
     /// ledger live in the db (journaled, so they survive a master crash).
     pub(crate) monitor: Monitor,
@@ -573,12 +598,8 @@ impl ClusterSim {
             chirp,
             catalog,
             planner,
-            pending_outputs: VecDeque::new(),
-            pending_bytes: 0,
-            unmerged_count: 0,
             hadoop_groups: Vec::new(),
-            hadoop_started: false,
-            sequential_planned: false,
+            end_planned: false,
             monitor,
             finished_at: None,
             sizers,
@@ -627,35 +648,14 @@ impl ClusterSim {
         // Planned-but-incomplete merge groups are re-issued verbatim
         // (same id, same inputs) so merging stays exactly-once.
         for (id, inputs) in self.db.open_merge_groups() {
-            let bytes: u64 = inputs.iter().map(|i| i.1).sum();
-            let cpu = self.params.merge_cpu_per_gb.mul_f64(bytes as f64 / 1e9);
-            self.tasks.insert(
-                id,
-                TaskInfo {
-                    wf: 0,
-                    category: Category::Merge,
-                    input_bytes: bytes,
-                    output_bytes: bytes,
-                    cpu,
-                    phase: Phase::Queued,
-                    worker: None,
-                    builder: None,
-                    enqueued_at: SimTime::ZERO,
-                    phase_started: SimTime::ZERO,
-                    env_flow: None,
-                    data_flow: None,
-                    merge_inputs: Some(inputs),
-                    attempt: 0,
-                    watchdog: None,
-                },
-            );
-            self.merge_queue.push_back(id);
+            let bytes = inputs.iter().map(|i| i.1).sum();
+            self.queue_merge_task(id, bytes, SimTime::ZERO);
         }
-        // Outputs not yet claimed by any group refill the planner's
-        // pending buffer in their original finish order.
-        self.pending_outputs = self.db.done_order_unmerged().into();
-        self.pending_bytes = self.pending_outputs.iter().map(|o| o.1).sum();
-        self.unmerged_count = self.db.unmerged_outputs().len() as u64;
+        // Outputs not yet claimed by any group refill the planner in
+        // their original finish order.
+        for (id, bytes) in self.db.done_order_unmerged() {
+            self.planner.push(id, bytes);
+        }
     }
 
     /// Rebuild the in-memory [`TaskInfo`] for a recovered analysis task
@@ -670,30 +670,7 @@ impl ClusterSim {
         else {
             return;
         };
-        let n = self.db.task_tasklets(id).map_or(0, |t| t.len()) as u32;
-        let wf = &self.workflows[wf_idx];
-        let cpu = wf.sample_task_cpu(n, &mut self.rng);
-        self.tasks.insert(
-            id,
-            TaskInfo {
-                wf: wf_idx,
-                category: Category::Analysis,
-                input_bytes: wf.task_input_bytes(n),
-                output_bytes: wf.task_output_bytes(n),
-                cpu,
-                phase: Phase::Queued,
-                worker: None,
-                builder: None,
-                enqueued_at: SimTime::ZERO,
-                phase_started: SimTime::ZERO,
-                env_flow: None,
-                data_flow: None,
-                merge_inputs: None,
-                attempt: self.db.attempts(id),
-                watchdog: None,
-            },
-        );
-        self.buffer.push(id);
+        self.queue_analysis_task(id, wf_idx, SimTime::ZERO, self.db.attempts(id));
     }
 
     /// Run a fresh in-memory simulation to the horizon.
@@ -824,7 +801,7 @@ impl ClusterSim {
     /// otherwise see zero analysis work left still grants the cores the
     /// merge tail needs.
     pub fn merge_backlog(&self) -> u64 {
-        self.unmerged_count
+        self.db.merge_backlog() as u64
     }
 
     /// Set the shared-site cache warmth for `dataset` in `[0, 1]`: the
@@ -865,30 +842,7 @@ impl ClusterSim {
                 // Disjoint field borrows: no per-task clone of the name.
                 let created_id = self.db.create_task(&self.workflows[wf_idx].name, size);
                 if let Some(id) = created_id {
-                    let n = self.db.task_tasklets(id).expect("created").len() as u32;
-                    let wf = &self.workflows[wf_idx];
-                    let cpu = wf.sample_task_cpu(n, &mut self.rng);
-                    self.tasks.insert(
-                        id,
-                        TaskInfo {
-                            wf: wf_idx,
-                            category: Category::Analysis,
-                            input_bytes: wf.task_input_bytes(n),
-                            output_bytes: wf.task_output_bytes(n),
-                            cpu,
-                            phase: Phase::Queued,
-                            worker: None,
-                            builder: None,
-                            enqueued_at: now,
-                            phase_started: now,
-                            env_flow: None,
-                            data_flow: None,
-                            merge_inputs: None,
-                            attempt: 0,
-                            watchdog: None,
-                        },
-                    );
-                    self.buffer.push(id);
+                    self.queue_analysis_task(id, wf_idx, now, 0);
                     created = true;
                     break;
                 }
@@ -899,38 +853,32 @@ impl ClusterSim {
         }
     }
 
-    fn create_merge_task(&mut self, now: SimTime, inputs: Vec<(TaskId, u64)>) {
-        let bytes: u64 = inputs.iter().map(|i| i.1).sum();
+    /// Queue analysis task `id` of workflow `wf_idx` for dispatch, drawing
+    /// its CPU time from the rng.
+    fn queue_analysis_task(&mut self, id: TaskId, wf_idx: usize, at: SimTime, attempt: u32) {
+        let n = self.db.task_tasklets(id).map_or(0, |t| t.len()) as u32;
+        let wf = &self.workflows[wf_idx];
+        let cpu = wf.sample_task_cpu(n, &mut self.rng);
+        let (input, output) = (wf.task_input_bytes(n), wf.task_output_bytes(n));
+        let t = TaskInfo::queued(wf_idx, Category::Analysis, input, output, cpu, at, attempt);
+        self.tasks.insert(id, t);
+        self.buffer.push(id);
+    }
+
+    fn create_merge_task(&mut self, now: SimTime, group: &MergeGroup) {
         // Journal the group first: a crash between planning and
         // completion re-issues exactly this merge on resume.
-        let id = match self.db.create_merge_group(&inputs) {
-            Ok(id) => id,
-            Err(e) => {
-                debug_assert!(false, "planner drained an unmergeable group: {e}");
-                return;
-            }
-        };
+        match self.db.create_merge_group(&group.inputs) {
+            Ok(id) => self.queue_merge_task(id, group.bytes(), now),
+            Err(e) => debug_assert!(false, "planner drained an unmergeable group: {e}"),
+        }
+    }
+
+    /// Queue merge task `id` (a journaled group of `bytes`) for dispatch.
+    fn queue_merge_task(&mut self, id: TaskId, bytes: u64, at: SimTime) {
         let cpu = self.params.merge_cpu_per_gb.mul_f64(bytes as f64 / 1e9);
-        self.tasks.insert(
-            id,
-            TaskInfo {
-                wf: 0,
-                category: Category::Merge,
-                input_bytes: bytes,
-                output_bytes: bytes,
-                cpu,
-                phase: Phase::Queued,
-                worker: None,
-                builder: None,
-                enqueued_at: now,
-                phase_started: now,
-                env_flow: None,
-                data_flow: None,
-                merge_inputs: Some(inputs),
-                attempt: 0,
-                watchdog: None,
-            },
-        );
+        let t = TaskInfo::queued(0, Category::Merge, bytes, bytes, cpu, at, 0);
+        self.tasks.insert(id, t);
         self.merge_queue.push_back(id);
     }
 
@@ -1505,11 +1453,10 @@ impl ClusterSim {
         self.release_task_slot(worker, id);
         self.ingest(&report, t.wf);
         if t.category == Category::Merge {
-            let inputs = t.merge_inputs.take().expect("merge task");
+            let inputs = self.db.merge_group(id).unwrap_or_default();
             let ids: Vec<TaskId> = inputs.iter().map(|i| i.0).collect();
             let bytes: u64 = inputs.iter().map(|i| i.1).sum();
             let name = format!("merged_{}.root", id.0);
-            self.unmerged_count = self.unmerged_count.saturating_sub(ids.len() as u64);
             if let Err(e) = self.db.mark_merged(Some(id), &ids, &name, bytes) {
                 debug_assert!(false, "completed merge the db rejects: {e}");
             }
@@ -1517,9 +1464,7 @@ impl ClusterSim {
             if let Err(e) = self.db.mark_done(id, t.output_bytes) {
                 debug_assert!(false, "completed task the db rejects: {e}");
             }
-            self.unmerged_count += 1;
-            self.pending_outputs.push_back((id, t.output_bytes));
-            self.pending_bytes += t.output_bytes;
+            self.planner.push(id, t.output_bytes);
             self.maybe_plan_merges(now, ctx);
         }
         self.check_finished(now);
@@ -1527,30 +1472,6 @@ impl ClusterSim {
     }
 
     // ----- merging ----------------------------------------------------------
-
-    /// Drain one target-sized group off the pending-output queue, or the
-    /// whole remainder when `flush` is set.
-    fn drain_group(&mut self, flush: bool) -> Option<Vec<(TaskId, u64)>> {
-        let target = self.planner.target_bytes();
-        if !flush && self.pending_bytes < target {
-            return None;
-        }
-        let mut group = Vec::new();
-        let mut acc = 0u64;
-        while acc < target {
-            let Some((id, bytes)) = self.pending_outputs.pop_front() else {
-                break;
-            };
-            acc += bytes;
-            self.pending_bytes -= bytes;
-            group.push((id, bytes));
-        }
-        if group.is_empty() {
-            None
-        } else {
-            Some(group)
-        }
-    }
 
     fn analysis_progress(&self) -> f64 {
         if self.analysis_units == 0 {
@@ -1569,46 +1490,30 @@ impl ClusterSim {
     }
 
     fn maybe_plan_merges(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
-        match self.cfg.merge {
-            MergeMode::Interleaved => {
-                // "Merge tasks will only be created when enough processing
-                // tasks have finished to create a sufficiently large merged
-                // output file", gated at 10 % workflow progress (§4.4).
-                let flush = self.analysis_exhausted();
-                if !flush && self.analysis_progress() < 0.10 {
-                    return;
-                }
-                while let Some(group) = self.drain_group(flush) {
-                    self.create_merge_task(now, group);
-                }
+        let flush = self.analysis_exhausted();
+        if self.cfg.merge != MergeMode::Interleaved {
+            // Sequential and Hadoop plan once, at the end of processing.
+            if !flush || self.end_planned {
+                return;
             }
-            MergeMode::Sequential => {
-                if self.analysis_exhausted() && !self.sequential_planned {
-                    self.sequential_planned = true;
-                    while let Some(group) = self.drain_group(true) {
-                        self.create_merge_task(now, group);
-                    }
-                }
+            self.end_planned = true;
+            if self.cfg.merge == MergeMode::Hadoop {
+                return self.plan_hadoop(now, ctx);
             }
-            MergeMode::Hadoop => {
-                if self.analysis_exhausted() && !self.hadoop_started {
-                    self.hadoop_started = true;
-                    self.plan_hadoop(now, ctx);
-                }
-            }
+        }
+        // Interleaved: "Merge tasks will only be created when enough
+        // processing tasks have finished to create a sufficiently large
+        // merged output file", gated on workflow progress (§4.4).
+        let progress = self.analysis_progress();
+        while let Some(group) = self.planner.next_group(progress, flush) {
+            self.create_merge_task(now, &group);
         }
     }
 
     /// LPT-assign merge groups to reducers; schedule per-group completions.
     fn plan_hadoop(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
-        let mut outs = Vec::new();
-        while let Some(group) = self.drain_group(true) {
-            outs.push(group);
-        }
-        let mut groups: Vec<crate::merge::MergeGroup> = outs
-            .into_iter()
-            .map(|inputs| crate::merge::MergeGroup { inputs })
-            .collect();
+        let mut groups: Vec<MergeGroup> =
+            std::iter::from_fn(|| self.planner.next_group(1.0, true)).collect();
         groups.sort_by_key(|g| std::cmp::Reverse(g.bytes()));
         let mut reducer_free = vec![SimDuration::ZERO; self.params.hadoop_reducers.max(1)];
         for g in groups {
@@ -1624,7 +1529,7 @@ impl ClusterSim {
             let start = reducer_free[r];
             reducer_free[r] = start + dur;
             let gi = self.hadoop_groups.len();
-            self.hadoop_groups.push((g.inputs, bytes));
+            self.hadoop_groups.push(g);
             ctx.schedule_at(now + start + dur, Ev::HadoopGroupDone(gi));
         }
     }
@@ -1632,14 +1537,13 @@ impl ClusterSim {
     fn on_hadoop_group_done(&mut self, gi: usize, ctx: &mut Ctx<Ev>) {
         let now = ctx.now();
         // Each group completes exactly once; take it instead of cloning.
-        let (inputs, bytes) = std::mem::take(&mut self.hadoop_groups[gi]);
-        let ids: Vec<TaskId> = inputs.iter().map(|i| i.0).collect();
+        let group = std::mem::take(&mut self.hadoop_groups[gi]);
+        let ids: Vec<TaskId> = group.inputs.iter().map(|i| i.0).collect();
         // Name by files produced, not group index: a resumed run replans
         // the outstanding groups from scratch, so indices shift but the
         // produced-file sequence stays collision-free.
         let name = format!("merged_h{}.root", self.db.merged_file_count());
-        self.unmerged_count = self.unmerged_count.saturating_sub(ids.len() as u64);
-        if let Err(e) = self.db.mark_merged(None, &ids, &name, bytes) {
+        if let Err(e) = self.db.mark_merged(None, &ids, &name, group.bytes()) {
             debug_assert!(false, "completed hadoop merge the db rejects: {e}");
         }
         self.monitor.mark_merge(now);
@@ -1781,17 +1685,13 @@ impl ClusterSim {
     fn dead_letter(
         &mut self,
         id: TaskId,
-        mut t: TaskInfo,
+        t: TaskInfo,
         code: FailureCode,
         now: SimTime,
         ctx: &mut Ctx<Ev>,
     ) {
         let units = match t.category {
-            Category::Merge => {
-                let inputs = t.merge_inputs.take().unwrap_or_default();
-                self.unmerged_count = self.unmerged_count.saturating_sub(inputs.len() as u64);
-                inputs.len() as u64
-            }
+            Category::Merge => self.db.merge_group(id).map_or(0, |g| g.len() as u64),
             _ => {
                 // The tasklets stay assigned to the withdrawn task in the
                 // db — never re-issued — and the db accounts them dead.
@@ -1969,7 +1869,7 @@ impl ClusterSim {
     fn check_finished(&mut self, now: SimTime) {
         if self.finished_at.is_none()
             && self.analysis_exhausted()
-            && self.unmerged_count == 0
+            && self.db.merge_backlog() == 0
             && self.merge_queue.is_empty()
             && self.tasks.is_empty()
         {

@@ -12,10 +12,16 @@
 //!   tasks as soon as enough finished outputs exist to fill one target-
 //!   size file. Outputs merge exactly once. Less resource-efficient but
 //!   fastest to completion; the mode Lobster uses in production.
+//!
+//! All three group outputs with one stateful [`MergePlanner`]: the
+//! simulator pushes each output as it finishes and pops groups (full ones
+//! while processing runs, the remainder on the end-of-processing flush);
+//! [`MergePlanner::plan_full`] is the same push-then-flush in one call.
 
 use gridstore::hdfs::Hdfs;
 use gridstore::mapreduce::MapReduce;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use wqueue::task::TaskId;
 
 /// The three merging modes.
@@ -41,7 +47,7 @@ impl MergeMode {
 }
 
 /// A planned merge: which outputs combine into one file.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MergeGroup {
     /// Inputs as `(producing task, bytes)`.
     pub inputs: Vec<(TaskId, u64)>,
@@ -64,76 +70,69 @@ impl MergeGroup {
     }
 }
 
-/// Groups outputs into merge tasks of a target size.
-#[derive(Clone, Copy, Debug)]
+/// The one merge-grouping algorithm. Finished outputs are pushed in
+/// finish order; [`MergePlanner::next_group`] pops greedy target-size
+/// groups off the front, so every output lands in exactly one group and
+/// every group but a flushed remainder reaches the target.
+#[derive(Clone, Debug)]
 pub struct MergePlanner {
     target_bytes: u64,
-    /// Interleaved mode only merges once this fraction of the workflow
-    /// has been processed (paper: 10 %).
-    progress_gate: f64,
+    /// Outputs not yet claimed by any group, in finish order.
+    pending: VecDeque<(TaskId, u64)>,
+    /// Sum of `pending`'s bytes.
+    pending_bytes: u64,
 }
 
 impl MergePlanner {
-    /// Planner targeting `target_bytes` per merged file.
+    /// Interleaved mode only merges once this fraction of the workflow
+    /// has been processed (paper: 10 %).
+    pub const PROGRESS_GATE: f64 = 0.10;
+
+    /// Empty planner targeting `target_bytes` per merged file.
     pub fn new(target_bytes: u64) -> Self {
         assert!(target_bytes > 0);
         MergePlanner {
             target_bytes,
-            progress_gate: 0.10,
+            pending: VecDeque::new(),
+            pending_bytes: 0,
         }
     }
 
-    /// The merged-file size target.
-    pub fn target_bytes(&self) -> u64 {
-        self.target_bytes
+    /// Queue one finished output behind those already pending.
+    pub fn push(&mut self, id: TaskId, bytes: u64) {
+        self.pending.push_back((id, bytes));
+        self.pending_bytes += bytes;
     }
 
-    /// Group *all* outputs (sequential / hadoop, end-of-run): greedy
-    /// accumulation to the target; the final group may be smaller.
-    pub fn plan_full(&self, outputs: &[(TaskId, u64)]) -> Vec<MergeGroup> {
-        let mut groups = Vec::new();
-        let mut current: Vec<(TaskId, u64)> = Vec::new();
+    /// Pop the next group. Without `flush` only a *full* group (≥ target)
+    /// comes out, and only once `progress` (the processed fraction of the
+    /// workflow) has passed [`MergePlanner::PROGRESS_GATE`]; the partial
+    /// remainder waits for more outputs. With `flush` (end of processing)
+    /// the gate is ignored and the remainder comes out as the last group.
+    pub fn next_group(&mut self, progress: f64, flush: bool) -> Option<MergeGroup> {
+        if !flush && (progress < Self::PROGRESS_GATE || self.pending_bytes < self.target_bytes) {
+            return None;
+        }
+        let mut inputs = Vec::new();
         let mut acc = 0u64;
-        for &(id, bytes) in outputs {
-            current.push((id, bytes));
+        while acc < self.target_bytes {
+            let Some((id, bytes)) = self.pending.pop_front() else {
+                break;
+            };
             acc += bytes;
-            if acc >= self.target_bytes {
-                groups.push(MergeGroup {
-                    inputs: std::mem::take(&mut current),
-                });
-                acc = 0;
-            }
+            self.pending_bytes -= bytes;
+            inputs.push((id, bytes));
         }
-        if !current.is_empty() {
-            groups.push(MergeGroup { inputs: current });
-        }
-        groups
+        (!inputs.is_empty()).then_some(MergeGroup { inputs })
     }
 
-    /// Interleaved planning: given the currently unmerged outputs and the
-    /// workflow's processed fraction, emit only *full* groups (≥ target),
-    /// leaving the remainder unmerged until more outputs arrive. Before
-    /// the 10 % gate nothing is merged. Set `final_flush` at end of
-    /// processing to also emit the trailing partial group.
-    pub fn plan_ready(
-        &self,
-        outputs: &[(TaskId, u64)],
-        progress: f64,
-        final_flush: bool,
-    ) -> Vec<MergeGroup> {
-        if progress < self.progress_gate && !final_flush {
-            return Vec::new();
+    /// Group *all* outputs (sequential / Hadoop, end of run): push every
+    /// output behind any already pending, then flush.
+    pub fn plan_full(mut self, outputs: &[(TaskId, u64)]) -> Vec<MergeGroup> {
+        for &(id, bytes) in outputs {
+            self.push(id, bytes);
         }
-        let mut groups = self.plan_full(outputs);
-        if !final_flush {
-            // Drop the trailing partial group — it waits for more outputs.
-            if let Some(last) = groups.last() {
-                if last.bytes() < self.target_bytes {
-                    groups.pop();
-                }
-            }
-        }
-        groups
+        std::iter::from_fn(|| self.next_group(1.0, true)).collect()
     }
 }
 
@@ -217,35 +216,37 @@ mod tests {
         assert!(MergePlanner::new(100).plan_full(&[]).is_empty());
     }
 
+    fn planner(sizes: &[u64]) -> MergePlanner {
+        let mut p = MergePlanner::new(100);
+        for (id, bytes) in outputs(sizes) {
+            p.push(id, bytes);
+        }
+        p
+    }
+
     #[test]
     fn interleaved_respects_progress_gate() {
-        let p = MergePlanner::new(100);
-        let outs = outputs(&[60, 60]);
-        assert!(
-            p.plan_ready(&outs, 0.05, false).is_empty(),
-            "below 10% gate"
-        );
-        let ready = p.plan_ready(&outs, 0.20, false);
-        assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].bytes(), 120);
+        let mut p = planner(&[60, 60]);
+        assert!(p.next_group(0.05, false).is_none(), "below 10% gate");
+        let ready = p.next_group(0.20, false).expect("full group past the gate");
+        assert_eq!(ready.bytes(), 120);
+        assert!(p.next_group(0.20, false).is_none());
     }
 
     #[test]
     fn interleaved_holds_back_partial_groups() {
-        let p = MergePlanner::new(100);
-        let outs = outputs(&[60, 30]); // only 90 bytes — not a full file yet
-        assert!(p.plan_ready(&outs, 0.5, false).is_empty());
+        let mut p = planner(&[60, 30]); // only 90 bytes — not a full file yet
+        assert!(p.next_group(0.5, false).is_none());
         // final flush emits the remainder
-        let flushed = p.plan_ready(&outs, 0.5, true);
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].bytes(), 90);
+        let flushed = p.next_group(0.5, true).expect("flushed remainder");
+        assert_eq!(flushed.bytes(), 90);
+        assert!(p.next_group(0.5, true).is_none());
     }
 
     #[test]
     fn final_flush_overrides_gate() {
-        let p = MergePlanner::new(100);
-        let outs = outputs(&[10]);
-        assert_eq!(p.plan_ready(&outs, 0.0, true).len(), 1);
+        let mut p = planner(&[10]);
+        assert_eq!(p.next_group(0.0, true).map(|g| g.len()), Some(1));
     }
 
     #[test]

@@ -202,15 +202,13 @@ impl ScenarioRunner {
                 ),
             );
         }
-        if reference.dead_letters.is_empty() && !db.unmerged_outputs().is_empty() {
+        let unmerged = db.merge_backlog();
+        if reference.dead_letters.is_empty() && unmerged > 0 {
             cleanup(&ref_path);
             return Self::invariant(
                 sc,
                 "conservation",
-                format!(
-                    "{} output(s) outside any merged file in a dead-letter-free run",
-                    db.unmerged_outputs().len()
-                ),
+                format!("{unmerged} output(s) outside any merged file in a dead-letter-free run"),
             );
         }
         drop(db);

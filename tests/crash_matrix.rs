@@ -119,6 +119,11 @@ fn assert_converged(resumed: &RunReport, reference: &RunReport, path: &PathBuf, 
         db.unmerged_outputs().is_empty(),
         "{label}: no output left outside a merged file"
     );
+    assert_eq!(
+        db.merge_backlog(),
+        db.unmerged_outputs().len(),
+        "{label}: the backlog count matches the merge states"
+    );
     assert!(
         db.open_merge_groups().is_empty(),
         "{label}: no merge group left open"

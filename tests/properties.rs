@@ -38,6 +38,21 @@ proptest! {
         let total_in: u64 = sizes.iter().sum();
         let total_out: u64 = groups.iter().map(|g| g.bytes()).sum();
         prop_assert_eq!(total_in, total_out, "byte conservation");
+
+        // The simulator's path: push one output at a time, take every
+        // full group past the gate, then flush at end of processing. It
+        // must cut exactly the partition `plan_full` does.
+        let mut planner = MergePlanner::new(target);
+        let mut incremental = Vec::new();
+        for &(id, bytes) in &outputs {
+            planner.push(id, bytes);
+            while let Some(g) = planner.next_group(1.0, false) {
+                prop_assert!(g.bytes() >= target, "unflushed group below target");
+                incremental.push(g);
+            }
+        }
+        incremental.extend(std::iter::from_fn(|| planner.next_group(1.0, true)));
+        prop_assert_eq!(incremental, groups);
     }
 
     /// FairLink conserves bytes: whatever is admitted is either delivered
