@@ -2,7 +2,8 @@
 //!
 //! These quantify the costs that make whole-cluster simulation cheap:
 //! event-queue throughput, O(log n) fair-link operations, queueing-station
-//! offers, the concurrent worker cache, the Map-Reduce engine, one
+//! offers, many small calendar queues stepped in rounds, the concurrent
+//! worker cache, the Map-Reduce engine, one
 //! point of the §4.1 task-size Monte Carlo, the Lobster DB's merge
 //! bookkeeping and its journaled apply + group commit, and one
 //! fair-share arbiter round.
@@ -34,13 +35,12 @@ fn bench_engine(c: &mut Criterion) {
 }
 
 /// The calendar queue's cursor bucket at its worst: 10k events land in
-/// one 1.05 s bucket, every delivery schedules a replacement behind the
+/// one wheel bucket (16.8 s), every delivery schedules a replacement behind the
 /// cursor at a random instant of the same bucket (a sorted insert into
 /// the run being drained), and every third delivery cancels a pending
 /// event.
 fn bench_engine_same_bucket(c: &mut Criterion) {
-    /// One wheel bucket: 2^20 µs.
-    const BUCKET_US: u64 = 1 << 20;
+    use simkit::engine::BUCKET_US;
     struct SameBucket {
         rng: u64,
         left: u32,
@@ -86,6 +86,73 @@ fn bench_engine_same_bucket(c: &mut Criterion) {
             }
             black_box(eng.run());
             black_box(eng.ctx().delivered())
+        })
+    });
+}
+
+/// Many small queues, as in a multi-tenant grid: 100 engines, each with
+/// a once-a-minute replenish that submits 8 worker arrivals at
+/// exponential delays (mean 2 min, the factory default) for 10 hours,
+/// stepped together in 5-minute rounds. 480k arrivals; each engine holds
+/// about 17 pending events, so nearly every schedule and pop touches a
+/// bucket no recent operation touched.
+fn bench_engine_many_small_queues(c: &mut Criterion) {
+    const ENGINES: u64 = 100;
+    const REPLENISHES: u32 = 600;
+    const ARRIVALS: u32 = 8;
+    enum Ev {
+        Replenish,
+        Arrive,
+    }
+    struct Tenant {
+        rng: SimRng,
+        delay: Exponential,
+        left: u32,
+        arrived: u64,
+    }
+    impl Model for Tenant {
+        type Event = Ev;
+        fn handle(&mut self, ev: Ev, ctx: &mut Ctx<Ev>) {
+            match ev {
+                Ev::Replenish => {
+                    for _ in 0..ARRIVALS {
+                        ctx.schedule(self.delay.sample_secs(&mut self.rng), Ev::Arrive);
+                    }
+                    self.left -= 1;
+                    if self.left > 0 {
+                        ctx.schedule(SimDuration::from_mins(1), Ev::Replenish);
+                    }
+                }
+                Ev::Arrive => self.arrived += 1,
+            }
+        }
+    }
+    c.bench_function("engine/many_small_queues", |b| {
+        b.iter(|| {
+            let mut engines: Vec<Engine<Tenant>> = (0..ENGINES)
+                .map(|i| {
+                    let mut eng = Engine::new(Tenant {
+                        rng: SimRng::new(0x5EED ^ i),
+                        delay: Exponential::new(120.0),
+                        left: REPLENISHES,
+                        arrived: 0,
+                    });
+                    eng.prime(SimDuration::ZERO, Ev::Replenish);
+                    eng
+                })
+                .collect();
+            let round = SimDuration::from_mins(5);
+            let mut until = SimTime::ZERO;
+            let mut busy = true;
+            while busy {
+                until += round;
+                busy = false;
+                for eng in &mut engines {
+                    eng.run_until(until);
+                    busy |= eng.ctx().peek_time().is_some();
+                }
+            }
+            black_box(engines.iter().map(|e| e.model().arrived).sum::<u64>())
         })
     });
 }
@@ -329,7 +396,8 @@ fn bench_cluster_sim(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine, bench_engine_same_bucket, bench_fair_link, bench_server,
+    targets = bench_engine, bench_engine_same_bucket, bench_engine_many_small_queues,
+              bench_fair_link, bench_server,
               bench_worker_cache, bench_mapreduce, bench_tasksize,
               bench_db_merge_bookkeeping, bench_db_journaled_apply_commit,
               bench_arbiter_allocate, bench_cluster_sim

@@ -1175,6 +1175,12 @@ impl LobsterDb {
         // Peek the claim without mutating: `apply` is the single place
         // that mutates state, so journal replay is authoritative.
         let wf = &self.workflows[wf_ix as usize].state;
+        // Exhausted: answer before allocating the claim. A drained
+        // workflow is asked on every refill, so this is the common case
+        // late in a run.
+        if wf.returned.is_empty() && wf.cursor >= wf.total_tasklets {
+            return None;
+        }
         let mut claim: Vec<u64> = Vec::with_capacity(n as usize);
         let mut returned = wf.returned.iter().copied();
         let mut cursor = wf.cursor;
@@ -1187,9 +1193,6 @@ impl LobsterDb {
             } else {
                 break;
             }
-        }
-        if claim.is_empty() {
-            return None;
         }
         let id = TaskId(self.next_task);
         self.apply_and_log(Record::TaskCreated {

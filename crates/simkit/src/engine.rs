@@ -11,14 +11,17 @@
 //! * [`EngineKind::Calendar`] (the default) — a hierarchical calendar
 //!   queue: a slab of event slots addressed by a packed
 //!   `(generation, index)` [`EventId`], a circular wheel of near-future
-//!   buckets (2^20 µs ≈ 1.05 s wide, 4096 buckets ≈ 73 min per round), a
+//!   buckets (2^24 µs ≈ 16.8 s wide, 256 buckets ≈ 71.6 min per round), a
 //!   round-indexed overflow map for the far future, and a sorted run for
-//!   the bucket being drained. When the cursor reaches a bucket, its live
-//!   slots are stable-sorted by instant into a `Vec` with the next event
-//!   at the back, so same-instant events keep their schedule order (FIFO)
-//!   and a pop is a `Vec::pop`. A schedule at or behind the cursor is a
-//!   binary search plus a shift of the entries due before it: short for
-//!   the common schedule near `now`, the whole run at worst.
+//!   the bucket being drained. The wheel is small because every engine
+//!   owns one and a multi-tenant grid runs a hundred sparse queues: 256
+//!   bucket headers are 6 KB per engine. When the cursor reaches a
+//!   bucket, its live slots are stable-sorted by instant into a `Vec`
+//!   with the next event at the back, so same-instant events keep their
+//!   schedule order (FIFO) and a pop is a `Vec::pop`. A schedule at or
+//!   behind the cursor is a binary search plus a shift of the entries
+//!   due before it: short for the common schedule near `now`, the whole
+//!   run at worst.
 //!   Cancellation is O(1) and in place (the slot is blanked; no tombstone
 //!   set grows). The far-round map is the only ordered tree, touched once
 //!   per 71.6-minute round rather than once per event.
@@ -182,12 +185,27 @@ impl<E> HeapQueue<E> {
 // Calendar backend: slab + near wheel + far rounds + sorted cursor bucket.
 // ---------------------------------------------------------------------------
 
-/// log2 of a near-wheel bucket width in microseconds (2^20 µs ≈ 1.05 s).
-const BUCKET_SHIFT: u32 = 20;
-/// Buckets per wheel round (must be a power of two).
-const NEAR_BUCKETS: usize = 1 << 12;
 /// log2 of a full round's span: 2^32 µs ≈ 71.6 min.
-const ROUND_SHIFT: u32 = BUCKET_SHIFT + 12;
+const ROUND_SHIFT: u32 = 32;
+/// log2 of a near-wheel bucket width in microseconds (2^24 µs ≈ 16.8 s).
+const BUCKET_SHIFT: u32 = 24;
+/// Buckets per wheel round (a power of two; see [`Calendar::near`]).
+const NEAR_BUCKETS: usize = 1 << 8;
+
+// Delivery order does not depend on the geometry. The round stays at
+// 2^32 µs whatever the bucket count, so far-map traffic is comparable
+// across geometries, and the wheel's buckets tile exactly one round.
+const _: () = assert!(ROUND_SHIFT == 32);
+const _: () = assert!((NEAR_BUCKETS as u64) << BUCKET_SHIFT == 1u64 << ROUND_SHIFT);
+
+/// One near-wheel bucket in microseconds, for tests and benches that
+/// place events on bucket edges.
+#[doc(hidden)]
+pub const BUCKET_US: u64 = 1 << BUCKET_SHIFT;
+/// One wheel round in microseconds, for tests and benches that place
+/// events on round edges.
+#[doc(hidden)]
+pub const ROUND_US: u64 = 1 << ROUND_SHIFT;
 
 /// One slab entry. `ev: Some` — live pending event; `ev: None` while still
 /// referenced by a bucket — cancelled, awaiting sweep; free-listed slots
@@ -209,6 +227,15 @@ struct Calendar<E> {
     /// Near wheel: one append-ordered vector of slot indices per bucket of
     /// the cursor's current round. Only buckets strictly after the cursor
     /// hold events; the cursor bucket itself is sealed into `cur`.
+    ///
+    /// 256 buckets of 2^24 µs (16.8 s) per 71.6-minute round. The wheel
+    /// is per engine: 24 bytes of header a bucket (6 KB), plus each
+    /// bucket's retained allocation. A multi-tenant grid holds a hundred
+    /// engines that each see about one event per 9 s of simulated time,
+    /// so on a larger wheel nearly every schedule and pop lands in a cold
+    /// bucket. Of 2^8 to 2^12 buckets at this round span, 2^8 ran many
+    /// small queues fastest with the smallest heap, and did not slow one
+    /// 20k-core engine.
     near: Vec<Vec<u32>>,
     near_len: usize,
     /// The cursor bucket plus anything scheduled at or behind the cursor

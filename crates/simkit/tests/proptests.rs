@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use simkit::dist::{Dist, Empirical, Exponential, LogUniform, Normal, Uniform, Weibull};
+use simkit::engine::{BUCKET_US, ROUND_US};
 use simkit::prelude::*;
 
 /// A model that records delivery times for the ordering property.
@@ -46,14 +47,11 @@ impl Model for TraceRecorder {
                 ctx.schedule(SimDuration::ZERO, ev + 1_000_000);
             }
             if ev.is_multiple_of(7) {
-                ctx.schedule(SimDuration::from_micros(3 << 20), ev + 2_000_000);
+                ctx.schedule(SimDuration::from_micros(3 * BUCKET_US), ev + 2_000_000);
             }
         }
     }
 }
-
-/// One wheel round of the calendar queue: 2^32 µs ≈ 71.6 min.
-const ROUND_US: u64 = 1 << 32;
 
 /// Run the op program `ops` on a `kind` engine; returns the delivery
 /// trace (peeked times logged as payload `u32::MAX`) and `delivered()`.
@@ -64,13 +62,13 @@ fn run_program(kind: EngineKind, ops: &[(u8, u64)]) -> (Vec<(u64, u32)>, u64) {
     for (i, &(op, x)) in ops.iter().enumerate() {
         let payload = i as u32;
         let now = eng.now();
-        match op % 8 {
+        match op % 9 {
             0 => {
                 // Zero delay, a later instant in this bucket, or a repeat
                 // of the last scheduled instant (a tie).
                 let at = match x % 3 {
                     0 => now,
-                    1 => now + SimDuration::from_micros(x % (1 << 20)),
+                    1 => now + SimDuration::from_micros(x % BUCKET_US),
                     _ => last_at.max(now),
                 };
                 ids.push(eng.ctx().schedule_at(at, payload));
@@ -89,7 +87,7 @@ fn run_program(kind: EngineKind, ops: &[(u8, u64)]) -> (Vec<(u64, u32)>, u64) {
                 eng.model_mut()
                     .trace
                     .push((peeked.map_or(0, SimTime::as_micros), u32::MAX));
-                let at = now + SimDuration::from_micros(x % 2_000_000);
+                let at = now + SimDuration::from_micros(x % (2 * BUCKET_US));
                 ids.push(eng.ctx().schedule_at(at, payload));
                 last_at = at;
             }
@@ -107,6 +105,19 @@ fn run_program(kind: EngineKind, ops: &[(u8, u64)]) -> (Vec<(u64, u32)>, u64) {
             6 => {
                 let deadline = now + SimDuration::from_micros(x % (2 * ROUND_US));
                 eng.run_until_events(deadline, x % 9);
+            }
+            7 => {
+                // Exactly on a bucket edge, or one µs either side of it:
+                // from the end of `now`'s bucket to a bit over two rounds
+                // ahead.
+                let k = now.as_micros() / BUCKET_US + 1 + (x / 3) % 600;
+                let at = SimTime::from_micros(match x % 3 {
+                    0 => k * BUCKET_US - 1,
+                    1 => k * BUCKET_US,
+                    _ => k * BUCKET_US + 1,
+                });
+                ids.push(eng.ctx().schedule_at(at, payload));
+                last_at = at;
             }
             _ => {
                 eng.step();
@@ -281,14 +292,14 @@ proptest! {
     }
 
     /// The calendar queue and the reference heap are one queue, op by op:
-    /// the same random program of schedules (ties, zero delays, far
-    /// rounds, behind a peeked cursor), cancels (live, fired, twice) and
-    /// bounded runs gives the same delivery trace and the same
+    /// the same random program of schedules (ties, zero delays, bucket
+    /// edges, far rounds, behind a peeked cursor), cancels (live, fired,
+    /// twice) and bounded runs gives the same delivery trace and the same
     /// `delivered()`. Tombstone counts differ by design and are not
     /// compared.
     #[test]
     fn calendar_matches_reference_heap_op_by_op(
-        ops in prop::collection::vec((0u8..8, any::<u64>()), 1..300),
+        ops in prop::collection::vec((0u8..9, any::<u64>()), 1..300),
     ) {
         let (cal, cal_n) = run_program(EngineKind::Calendar, &ops);
         let (heap, heap_n) = run_program(EngineKind::ReferenceHeap, &ops);
