@@ -11,7 +11,7 @@
 //! [`io::ErrorKind::InvalidData`], never a panic, so the journal reader
 //! can classify a bad final frame as a torn append.
 
-use super::{MasterSnap, MergeInputs, OutputSnap, Record, ShardSnap, TaskSnap, TaskState};
+use super::{Claim, MasterSnap, MergeInputs, OutputSnap, Record, ShardSnap, TaskSnap, TaskState};
 use crate::monitor::Accounting;
 use crate::wrapper::{Segment, SegmentReport};
 use simkit::time::{SimDuration, SimTime};
@@ -182,17 +182,29 @@ impl<'a> Reader<'a> {
         Ok(SimDuration::from_micros(self.u64v()?))
     }
 
-    fn tasklets(&mut self) -> io::Result<Vec<u64>> {
+    /// Decode a zigzag-delta tasklet list, handing each tasklet to `push`.
+    fn tasklet_list(&mut self, mut push: impl FnMut(u64)) -> io::Result<()> {
         let n = self.len_of("tasklet list")?;
-        let mut out = Vec::with_capacity(n);
         let mut prev = 0i64;
         for _ in 0..n {
-            let d = unzigzag(self.u64v()?);
-            let v = prev.wrapping_add(d);
-            out.push(v as u64);
-            prev = v;
+            prev = prev.wrapping_add(unzigzag(self.u64v()?));
+            push(prev as u64);
         }
+        Ok(())
+    }
+
+    fn tasklets(&mut self) -> io::Result<Vec<u64>> {
+        let mut out = Vec::new();
+        self.tasklet_list(|t| out.push(t))?;
         Ok(out)
+    }
+
+    /// A tasklet list read straight into its [`Claim`] form, so a run is
+    /// never materialised as a list.
+    fn claim(&mut self) -> io::Result<Claim> {
+        let mut claim = Claim::default();
+        self.tasklet_list(|t| claim.push(t))?;
+        Ok(claim)
     }
 
     fn task(&mut self) -> io::Result<TaskId> {
@@ -431,12 +443,12 @@ fn get_inputs(r: &mut Reader<'_>) -> io::Result<MergeInputs> {
 pub(super) fn put_task_entry(
     buf: &mut Vec<u8>,
     id: TaskId,
-    tasklets: &[u64],
+    tasklets: impl ExactSizeIterator<Item = u64>,
     state: TaskState,
     attempts: u32,
 ) {
     put_task(buf, id);
-    put_tasklets(buf, tasklets.iter().copied());
+    put_tasklets(buf, tasklets);
     put_state(buf, state);
     put_u32(buf, attempts);
 }
@@ -464,7 +476,7 @@ fn put_shard_snap(buf: &mut Vec<u8>, s: &ShardSnap) {
     put_u64(buf, s.dead);
     put_u64(buf, s.tasks.len() as u64);
     for t in &s.tasks {
-        put_task_entry(buf, t.id, &t.tasklets, t.state, t.attempts);
+        put_task_entry(buf, t.id, t.tasklets.iter(), t.state, t.attempts);
     }
     put_u64(buf, s.outputs.len() as u64);
     for o in &s.outputs {
@@ -489,7 +501,7 @@ fn get_shard_snap(r: &mut Reader<'_>) -> io::Result<ShardSnap> {
     for _ in 0..n {
         tasks.push(TaskSnap {
             id: r.task()?,
-            tasklets: r.tasklets()?,
+            tasklets: r.claim()?,
             state: get_state(r)?,
             attempts: r.u32v()?,
         });
@@ -609,7 +621,7 @@ pub(crate) fn encode_record(buf: &mut Vec<u8>, rec: &Record) {
             buf.push(tag::TASK_CREATED);
             put_task(buf, *id);
             put_u32(buf, *wf);
-            put_tasklets(buf, tasklets.iter().copied());
+            put_tasklets(buf, tasklets.iter());
         }
         Record::TaskRunning { id } => {
             buf.push(tag::TASK_RUNNING);
@@ -694,7 +706,7 @@ pub(crate) fn decode_record(r: &mut Reader<'_>) -> io::Result<Record> {
         tag::TASK_CREATED => Record::TaskCreated {
             id: r.task()?,
             wf: r.u32v()?,
-            tasklets: r.tasklets()?,
+            tasklets: r.claim()?,
         },
         tag::TASK_RUNNING => Record::TaskRunning { id: r.task()? },
         tag::TASK_DONE => Record::TaskDone {
@@ -774,6 +786,27 @@ mod tests {
             put_u64(&mut buf, v);
             let mut r = Reader::new(&buf);
             assert_eq!(r.u64v().unwrap(), v);
+            assert!(r.is_empty());
+        }
+    }
+
+    /// A claim is written as its plain tasklet list and read back in
+    /// canonical form: a run decodes without a list, anything else as one.
+    #[test]
+    fn claims_encode_as_lists_and_decode_canonical() {
+        for (list, claim) in [
+            (vec![4, 5, 6], Claim::Run { first: 4, n: 3 }),
+            (vec![], Claim::Run { first: 0, n: 0 }),
+            (vec![3, 7, 8], Claim::List(vec![3, 7, 8])),
+            (vec![9, 8], Claim::List(vec![9, 8])),
+        ] {
+            let mut from_list = Vec::new();
+            put_tasklets(&mut from_list, list.iter().copied());
+            let mut from_claim = Vec::new();
+            put_tasklets(&mut from_claim, claim.iter());
+            assert_eq!(from_claim, from_list, "{list:?}");
+            let mut r = Reader::new(&from_list);
+            assert_eq!(r.claim().unwrap(), claim);
             assert!(r.is_empty());
         }
     }
@@ -952,7 +985,8 @@ mod tests {
                 wf: rng.below(8) as u32,
                 tasklets: {
                     let n = rng.below(64) as usize;
-                    (0..n).map(|_| rng.below(1_000_000_000)).collect()
+                    let list: Vec<u64> = (0..n).map(|_| rng.below(1_000_000_000)).collect();
+                    Claim::from(list)
                 },
             },
             2 => Record::TaskRunning {
@@ -1046,13 +1080,13 @@ mod tests {
                 tasks: vec![
                     TaskSnap {
                         id: TaskId(0),
-                        tasklets: vec![0, 1, 2],
+                        tasklets: Claim::from(vec![0, 1, 2]),
                         state: TaskState::Done,
                         attempts: 1,
                     },
                     TaskSnap {
                         id: TaskId(5),
-                        tasklets: vec![90, 91],
+                        tasklets: Claim::from(vec![90, 92]),
                         state: TaskState::Withdrawn,
                         attempts: 4,
                     },

@@ -29,7 +29,26 @@
 //! format included, is [`io::ErrorKind::InvalidData`]. So is a CRC-valid
 //! record that contradicts the state replayed before it. See
 //! `docs/recovery.md`.
+//!
+//! # The task ledger in memory
+//!
+//! The id-indexed columns are the largest thing a master holds (about
+//! 64 bytes per task ever created; `tests/db_footprint.rs` bounds it):
+//! - a task row is 24 bytes and stores its claim as a run, `first` and a
+//!   count ([`claim`]). A task claims returned tasklets first, then the
+//!   cursor's, so a claim is one run unless a lost task's tasklets split
+//!   across claims of another size. Such a scattered claim keeps its list
+//!   once, in a side table keyed by task id;
+//! - an output row is 16 bytes (24 with its `Option`): its index is the
+//!   producing task, so it does not repeat it;
+//! - the finish order is one `Vec<TaskId>`, sorted by the output rows'
+//!   `done_seq`.
+//!
+//! None of this reaches the disk: `TaskCreated` records, shard snapshots
+//! and the frozen snapshot prefix encode a run as the tasklet list it
+//! stands for, byte for byte as before.
 
+mod claim;
 mod codec;
 mod journal;
 mod snapshot;
@@ -39,6 +58,7 @@ pub use journal::journal_bytes;
 use crate::config::JournalPolicy;
 use crate::monitor::Accounting;
 use crate::wrapper::SegmentReport;
+pub(crate) use claim::{Claim, Tasklets};
 use journal::{GroupCommit, Journal, ScannedFile, MASTER_TAG};
 use simkit::time::SimDuration;
 use std::collections::{BTreeMap, BTreeSet};
@@ -136,19 +156,23 @@ pub enum TaskState {
     Withdrawn,
 }
 
-/// A produced output file. Merge state (grouped, merged-into, withdrawn)
-/// lives in the master-side [`MergeState`] column, not on the row: the row
-/// is shard state, and the two slices must stay disjoint for sharded
-/// replay.
-#[derive(Clone, Debug)]
+/// A produced output file, stored at its producing task's id in
+/// [`LobsterDb::outputs`] (the index is the producer, so the row does not
+/// repeat it). Merge state (grouped, merged-into, withdrawn) lives in the
+/// master-side [`MergeState`] column, not on the row: the row is shard
+/// state, and the two slices must stay disjoint for sharded replay.
+#[derive(Clone, Copy, Debug)]
 struct OutputFile {
-    /// Producing task.
-    task: TaskId,
     /// Size in bytes.
     bytes: u64,
-    /// Global finish-order sequence of the producing task's completion.
+    /// Global finish-order sequence of the producing task's completion;
+    /// also the sort key of [`LobsterDb::done_order`].
     done_seq: u64,
 }
+
+// An output row is 16 bytes, 24 with its `Option`: a field that grows
+// the column fails the build here.
+const _: () = assert!(std::mem::size_of::<Option<OutputFile>>() <= 24);
 
 /// A merged output file.
 #[derive(Clone, Copy, Debug)]
@@ -248,7 +272,7 @@ pub(crate) enum Record {
     TaskCreated {
         id: TaskId,
         wf: u32,
-        tasklets: Vec<u64>,
+        tasklets: Claim,
     },
     TaskRunning {
         id: TaskId,
@@ -293,7 +317,7 @@ pub(crate) enum Record {
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct TaskSnap {
     pub id: TaskId,
-    pub tasklets: Vec<u64>,
+    pub tasklets: Claim,
     pub state: TaskState,
     pub attempts: u32,
 }
@@ -364,14 +388,43 @@ struct WorkflowEntry {
     state: WorkflowState,
 }
 
-#[derive(Clone, Debug)]
+/// One task row, 24 bytes. The claim is a run, `first..first + n`, held
+/// in the row itself; a scattered claim ([`Claim::List`]) keeps its list
+/// once in [`LobsterDb::scattered`] and sets `scattered` here instead.
+/// Snapshots encode either form as the plain tasklet list, the bytes a
+/// row that held a list wrote.
+#[derive(Clone, Copy, Debug)]
 struct TaskRow {
+    /// First tasklet of the claim's run (0 for a scattered claim).
+    first: u64,
+    /// Tasklets in the run (0 for a scattered claim).
+    n: u32,
     /// Index into `workflows` (names are interned — a row carries no
     /// `String`).
     wf: u32,
-    tasklets: Vec<u64>,
-    state: TaskState,
     attempts: u32,
+    state: TaskState,
+    /// The claim is not a run: its list is in [`LobsterDb::scattered`].
+    scattered: bool,
+}
+
+// The task column holds one of these per task ever created: a field that
+// grows it past 24 bytes fails the build here.
+const _: () = assert!(std::mem::size_of::<Option<TaskRow>>() <= 24);
+
+impl TaskRow {
+    /// The row's tasklets in claim order; a scattered row (task `id`)
+    /// reads its list from `scattered`.
+    fn tasklets<'a>(&self, id: TaskId, scattered: &'a BTreeMap<TaskId, Vec<u64>>) -> Tasklets<'a> {
+        if self.scattered {
+            Tasklets::List(scattered.get(&id).map_or(&[][..], Vec::as_slice).iter())
+        } else {
+            Tasklets::Run {
+                next: self.first,
+                left: self.n,
+            }
+        }
+    }
 }
 
 /// The bookkeeping store.
@@ -383,18 +436,24 @@ pub struct LobsterDb {
     /// per-completion hot path does O(1) state transitions no matter how
     /// many tasks the campaign has retired. Merge ids
     /// (>= [`MERGE_ID_BASE`]) fall outside the dense range and resolve to
-    /// `None`, like a missing map key.
+    /// `None`, like a missing map key. A row is 24 bytes and holds its
+    /// claim as a run ([`TaskRow`]).
     tasks: Vec<Option<TaskRow>>,
     /// `Some` rows in `tasks`.
     n_tasks: usize,
+    /// The lists of scattered claims, keyed by task id: a task that
+    /// claimed returned tasklets which do not form one run with the rest
+    /// of its claim. Only lost tasks return tasklets, so this stays empty
+    /// in most runs.
+    scattered: BTreeMap<TaskId, Vec<u64>>,
     /// Output files indexed by producing task id (same dense id space).
     outputs: Vec<Option<OutputFile>>,
-    /// Done tasks in finish order (drives merge planning on resume).
+    /// Done tasks in finish order (drives merge planning on resume),
+    /// ascending by their output rows' `done_seq`. A live completion's
+    /// seq is past every entry's, so it appends; sharded replay delivers
+    /// completions shard by shard, and a sorted insert by seq restores
+    /// the global finish order.
     done_order: Vec<TaskId>,
-    /// `done_seq` of each `done_order` entry — parallel, ascending.
-    /// Sharded replay delivers completions shard-by-shard; sorted
-    /// insertion by sequence restores the global finish order.
-    done_seqs: Vec<u64>,
     merged_files: BTreeMap<String, MergedFile>,
     /// Planned merges not yet completed, keyed by merge task id.
     merge_groups: BTreeMap<TaskId, MergeInputs>,
@@ -437,9 +496,9 @@ impl LobsterDb {
             workflows: Vec::new(),
             tasks: Vec::new(),
             n_tasks: 0,
+            scattered: BTreeMap::new(),
             outputs: Vec::new(),
             done_order: Vec::new(),
-            done_seqs: Vec::new(),
             merged_files: BTreeMap::new(),
             merge_groups: BTreeMap::new(),
             merge_state: Vec::new(),
@@ -657,21 +716,13 @@ impl LobsterDb {
             }
             Record::TaskCreated { id, wf, tasklets } => {
                 let wfe = &mut self.workflows[wf as usize].state;
-                for t in &tasklets {
+                for t in tasklets.iter() {
                     // Claim from the returned pool or advance the cursor.
-                    if !wfe.returned.remove(t) {
+                    if !wfe.returned.remove(&t) {
                         wfe.cursor = wfe.cursor.max(t + 1);
                     }
                 }
-                self.insert_task_row(
-                    id,
-                    TaskRow {
-                        wf,
-                        tasklets,
-                        state: TaskState::Ready,
-                        attempts: 0,
-                    },
-                );
+                self.insert_task_row(id, wf, tasklets, TaskState::Ready, 0);
                 self.next_task = self.next_task.max(id.0 + 1);
             }
             Record::TaskRunning { id } => {
@@ -688,26 +739,25 @@ impl LobsterDb {
                 // simlint::allow(no-panic-in-lib): replay invariant — TaskCreated precedes
                 let t = self.task_row_mut(id).expect("task exists");
                 t.state = TaskState::Done;
-                let wf_ix = t.wf as usize;
-                let tasklets = t.tasklets.len() as u64;
-                self.workflows[wf_ix].state.done += tasklets;
+                let t = *t;
+                let tasklets = t.tasklets(id, &self.scattered).len() as u64;
+                self.workflows[t.wf as usize].state.done += tasklets;
                 self.insert_output_row(
                     id,
                     OutputFile {
-                        task: id,
                         bytes: output_bytes,
                         done_seq,
                     },
                 );
-                self.insert_done(id, done_seq);
+                self.insert_done(id);
             }
             Record::TaskLost { id } => {
                 // simlint::allow(no-panic-in-lib): replay invariant — TaskCreated precedes
                 let t = self.task_row_mut(id).expect("task exists");
                 t.state = TaskState::Lost;
-                let wf_ix = t.wf as usize;
-                let returned: Vec<u64> = t.tasklets.clone();
-                self.workflows[wf_ix].state.returned.extend(returned);
+                let t = *t;
+                let returned = &mut self.workflows[t.wf as usize].state.returned;
+                returned.extend(t.tasklets(id, &self.scattered));
             }
             Record::MergeCreated { id, inputs } => {
                 for (src, _) in &inputs {
@@ -795,13 +845,20 @@ impl LobsterDb {
         file.id
     }
 
-    /// Sorted insert into the finish-order index. Online appends are
-    /// already in order (`seq` is assigned as `done_order.len()`); only
-    /// sharded replay inserts out of order.
-    fn insert_done(&mut self, id: TaskId, seq: u64) {
-        let at = self.done_seqs.partition_point(|&s| s < seq);
+    /// Insert `id`, whose output row is in place, into the finish-order
+    /// index by its `done_seq`. A live completion's seq is
+    /// `done_order.len()`, past the last entry's, so it appends in O(1)
+    /// without a search; only sharded replay inserts in the middle.
+    fn insert_done(&mut self, id: TaskId) {
+        let seq_of = |id: &TaskId| self.output_row(*id).map_or(0, |o| o.done_seq);
+        let seq = seq_of(&id);
+        let at = match self.done_order.last() {
+            Some(last) if seq_of(last) >= seq => {
+                self.done_order.partition_point(|d| seq_of(d) < seq)
+            }
+            _ => self.done_order.len(),
+        };
         self.done_order.insert(at, id);
-        self.done_seqs.insert(at, seq);
         self.counters.tasks_completed += 1;
     }
 
@@ -849,23 +906,25 @@ impl LobsterDb {
                 .iter()
                 .enumerate()
                 .filter_map(|(ix, row)| {
+                    let id = TaskId(ix as u64);
                     row.as_ref().filter(|t| t.wf == wf).map(|t| TaskSnap {
-                        id: TaskId(ix as u64),
-                        tasklets: t.tasklets.clone(),
+                        id,
+                        tasklets: Claim::from(t.tasklets(id, &self.scattered).collect::<Vec<_>>()),
                         state: t.state,
                         attempts: t.attempts,
                     })
                 })
                 .collect(),
-            outputs: self
-                .outputs
-                .iter()
-                .flatten()
-                .filter(|o| self.task_row(o.task).is_some_and(|t| t.wf == wf))
-                .map(|o| OutputSnap {
-                    task: o.task,
-                    bytes: o.bytes,
-                    done_seq: o.done_seq,
+            outputs: (0u64..)
+                .map(TaskId)
+                .zip(&self.outputs)
+                .filter(|(id, _)| self.task_row(*id).is_some_and(|t| t.wf == wf))
+                .filter_map(|(task, o)| {
+                    o.map(|o| OutputSnap {
+                        task,
+                        bytes: o.bytes,
+                        done_seq: o.done_seq,
+                    })
                 })
                 .collect(),
             dead_letters: self
@@ -947,26 +1006,17 @@ impl LobsterDb {
         self.workflows.push(entry);
         for t in s.tasks {
             self.next_task = self.next_task.max(t.id.0 + 1);
-            self.insert_task_row(
-                t.id,
-                TaskRow {
-                    wf: s.wf,
-                    tasklets: t.tasklets,
-                    state: t.state,
-                    attempts: t.attempts,
-                },
-            );
+            self.insert_task_row(t.id, s.wf, t.tasklets, t.state, t.attempts);
         }
         for o in s.outputs {
             self.insert_output_row(
                 o.task,
                 OutputFile {
-                    task: o.task,
                     bytes: o.bytes,
                     done_seq: o.done_seq,
                 },
             );
-            self.insert_done(o.task, o.done_seq);
+            self.insert_done(o.task);
         }
         for (seq, l) in s.dead_letters {
             self.insert_dead_letter(seq, l);
@@ -1028,8 +1078,32 @@ impl LobsterDb {
         self.tasks.get_mut(usize::try_from(id.0).ok()?)?.as_mut()
     }
 
-    fn insert_task_row(&mut self, id: TaskId, row: TaskRow) {
+    /// Store task `id`'s row: a run in the row itself, a scattered list
+    /// in the side table.
+    fn insert_task_row(
+        &mut self,
+        id: TaskId,
+        wf: u32,
+        claim: Claim,
+        state: TaskState,
+        attempts: u32,
+    ) {
         debug_assert!(id.0 < MERGE_ID_BASE, "merge tasks have no task row");
+        let (first, n, scattered) = match claim {
+            Claim::Run { first, n } => (first, n, false),
+            Claim::List(list) => {
+                self.scattered.insert(id, list);
+                (0, 0, true)
+            }
+        };
+        let row = TaskRow {
+            first,
+            n,
+            wf,
+            attempts,
+            state,
+            scattered,
+        };
         let ix = id.0 as usize;
         if self.tasks.len() <= ix {
             self.tasks.resize(ix + 1, None);
@@ -1181,7 +1255,7 @@ impl LobsterDb {
         if wf.returned.is_empty() && wf.cursor >= wf.total_tasklets {
             return None;
         }
-        let mut claim: Vec<u64> = Vec::with_capacity(n as usize);
+        let mut claim = Claim::default();
         let mut returned = wf.returned.iter().copied();
         let mut cursor = wf.cursor;
         while claim.len() < n as usize {
@@ -1347,9 +1421,17 @@ impl LobsterDb {
         self.task_row(id).map_or(0, |t| t.attempts)
     }
 
-    /// Tasklets covered by a task.
-    pub fn task_tasklets(&self, id: TaskId) -> Option<&[u64]> {
-        self.task_row(id).map(|t| t.tasklets.as_slice())
+    /// Tasklets covered by a task, in claim order.
+    pub fn task_tasklets(&self, id: TaskId) -> Option<Vec<u64>> {
+        self.task_row(id)
+            .map(|t| t.tasklets(id, &self.scattered).collect())
+    }
+
+    /// How many tasklets a task covers: the length of
+    /// [`LobsterDb::task_tasklets`], without building the list.
+    pub fn task_tasklet_count(&self, id: TaskId) -> Option<usize> {
+        self.task_row(id)
+            .map(|t| t.tasklets(id, &self.scattered).len())
     }
 
     /// Workflow a task belongs to.
@@ -1361,11 +1443,11 @@ impl LobsterDb {
     /// Outputs not yet merged (nor withdrawn), as `(task, bytes)` sorted
     /// by task id.
     pub fn unmerged_outputs(&self) -> Vec<(TaskId, u64)> {
-        self.outputs
-            .iter()
-            .flatten()
-            .filter(|o| self.output_mergeable(o.task))
-            .map(|o| (o.task, o.bytes))
+        (0u64..)
+            .map(TaskId)
+            .zip(&self.outputs)
+            .filter_map(|(id, o)| o.map(|o| (id, o.bytes)))
+            .filter(|(id, _)| self.merge_state_of(*id).mergeable())
             .collect()
     }
 
@@ -1384,7 +1466,7 @@ impl LobsterDb {
         self.done_order
             .iter()
             .filter(|id| self.output_free(**id))
-            .filter_map(|id| self.output_row(*id).map(|o| (o.task, o.bytes)))
+            .filter_map(|id| self.output_row(*id).map(|o| (*id, o.bytes)))
             .collect()
     }
 
@@ -1619,7 +1701,7 @@ fn check_replayed(db: &LobsterDb, tag: u32, rec: &Record, id_bound: u64) -> Resu
         Record::TaskCreated { id, wf, tasklets } => {
             let total = workflow(*wf)?.total_tasklets;
             new_row(*id)?;
-            if let Some(t) = tasklets.iter().find(|&&t| t >= total) {
+            if let Some(t) = tasklets.iter().find(|&t| t >= total) {
                 return Err(format!("tasklet {t} outside workflow {wf}'s {total}"));
             }
         }
@@ -1631,7 +1713,8 @@ fn check_replayed(db: &LobsterDb, tag: u32, rec: &Record, id_bound: u64) -> Resu
         Record::TaskDone { id, .. } => {
             let t = row_in(*id, &[TaskState::Running])?;
             let done = db.workflows[t.wf as usize].state.done;
-            room(done, t.tasklets.len() as u64, "done tasklet count")?;
+            let n = t.tasklets(*id, &db.scattered).len() as u64;
+            room(done, n, "done tasklet count")?;
         }
         Record::TaskLost { id } => {
             row_in(*id, &live)?;
@@ -1879,8 +1962,8 @@ mod tests {
         let t1 = db.create_task("wf", 4).unwrap();
         let t2 = db.create_task("wf", 4).unwrap(); // short final task
         assert!(db.create_task("wf", 4).is_none(), "exhausted");
-        assert_eq!(db.task_tasklets(t0).unwrap(), &[0, 1, 2, 3]);
-        assert_eq!(db.task_tasklets(t2).unwrap(), &[8, 9]);
+        assert_eq!(db.task_tasklets(t0).unwrap(), [0, 1, 2, 3]);
+        assert_eq!(db.task_tasklets(t2).unwrap(), [8, 9]);
         assert_eq!(db.unassigned_tasklets("wf"), 0);
         assert_eq!(db.task_count(), 3);
         let _ = t1;
@@ -1896,7 +1979,7 @@ mod tests {
         assert_eq!(db.unassigned_tasklets("wf"), 6);
         let t1 = db.create_task("wf", 4).unwrap();
         // Returned tasklets 0..3 come first, then fresh tasklet 3.
-        assert_eq!(db.task_tasklets(t1).unwrap(), &[0, 1, 2, 3]);
+        assert_eq!(db.task_tasklets(t1).unwrap(), [0, 1, 2, 3]);
         assert_eq!(db.task_state(t0), Some(TaskState::Lost));
     }
 
@@ -1987,7 +2070,7 @@ mod tests {
             let mut db = LobsterDb::open(&path).unwrap();
             let t = db.create_task("wf", 2).unwrap();
             assert_eq!(t, TaskId(1), "ids continue after recovery");
-            assert_eq!(db.task_tasklets(t).unwrap(), &[2, 3]);
+            assert_eq!(db.task_tasklets(t).unwrap(), [2, 3]);
         }
         cleanup(&path);
     }
@@ -2073,7 +2156,7 @@ mod tests {
         );
         let db = LobsterDb::recover(&path).unwrap();
         assert_eq!(db.task_count(), 1);
-        assert_eq!(db.task_tasklets(TaskId(0)).unwrap(), &[0, 1, 2]);
+        assert_eq!(db.task_tasklets(TaskId(0)).unwrap(), [0, 1, 2]);
         cleanup(&path);
     }
 
@@ -2846,7 +2929,7 @@ mod tests {
     fn snap(edit: impl FnOnce(&mut ShardSnap)) -> Record {
         let task = TaskSnap {
             id: TaskId(0),
-            tasklets: vec![0, 1],
+            tasklets: Claim::from(vec![0, 1]),
             state: TaskState::Running,
             attempts: 1,
         };
@@ -2887,7 +2970,7 @@ mod tests {
         let new = |id: u64, wf: u32, t: u64| R::TaskCreated {
             id: TaskId(id),
             wf,
-            tasklets: vec![t],
+            tasklets: Claim::from(vec![t]),
         };
         let run = |id: u64| R::TaskRunning { id: TaskId(id) };
         let done = || R::TaskDone {

@@ -23,6 +23,7 @@
 use super::codec::{self, tag};
 use super::journal::snapshot_buffer;
 use super::{LobsterDb, MergeState, OutputFile, TaskRow, TaskState, MASTER_TAG};
+use std::collections::BTreeMap;
 use wqueue::task::TaskId;
 
 /// The encoded terminal id-prefix of one shard's task and output lists.
@@ -47,28 +48,36 @@ fn is_final(state: TaskState) -> bool {
     }
 }
 
-/// Append the snapshot entries of slab row `ix` (a row of the shard being
-/// encoded) and its output, if any, to the two lists.
-fn put_row(
-    ix: usize,
-    t: &TaskRow,
-    outputs: &[Option<OutputFile>],
-    tasks_buf: &mut Vec<u8>,
-    outputs_buf: &mut Vec<u8>,
-) -> u64 {
-    codec::put_task_entry(
-        tasks_buf,
-        TaskId(ix as u64),
-        &t.tasklets,
-        t.state,
-        t.attempts,
-    );
-    match outputs.get(ix).and_then(Option::as_ref) {
-        Some(o) => {
-            codec::put_output_entry(outputs_buf, o.task, o.bytes, o.done_seq);
-            1
+/// The db columns a row's snapshot entries are encoded from.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    tasks: &'a [Option<TaskRow>],
+    scattered: &'a BTreeMap<TaskId, Vec<u64>>,
+    outputs: &'a [Option<OutputFile>],
+}
+
+impl Rows<'_> {
+    /// Append the snapshot entries of slab row `ix` (a row of the shard
+    /// being encoded) and its output, if any, to the two lists. A run
+    /// claim is written straight from the row, with the bytes of the
+    /// tasklet list it stands for.
+    fn put_row(
+        self,
+        ix: usize,
+        t: &TaskRow,
+        tasks_buf: &mut Vec<u8>,
+        outputs_buf: &mut Vec<u8>,
+    ) -> u64 {
+        let id = TaskId(ix as u64);
+        let tasklets = t.tasklets(id, self.scattered);
+        codec::put_task_entry(tasks_buf, id, tasklets, t.state, t.attempts);
+        match self.outputs.get(ix).and_then(Option::as_ref) {
+            Some(o) => {
+                codec::put_output_entry(outputs_buf, id, o.bytes, o.done_seq);
+                1
+            }
+            None => 0,
         }
-        None => 0,
     }
 }
 
@@ -76,17 +85,16 @@ impl FrozenRows {
     /// Fold the terminal rows of shard `wf` that follow the frontier into
     /// the cache, stopping at the first live row of the shard or at an
     /// empty slot.
-    fn advance(&mut self, wf: u32, tasks: &[Option<TaskRow>], outputs: &[Option<OutputFile>]) {
-        while let Some(Some(t)) = tasks.get(self.frontier) {
+    fn advance(&mut self, wf: u32, rows: Rows<'_>) {
+        while let Some(Some(t)) = rows.tasks.get(self.frontier) {
             if t.wf == wf {
                 if !is_final(t.state) {
                     break;
                 }
                 self.tasks += 1;
-                self.outputs += put_row(
+                self.outputs += rows.put_row(
                     self.frontier,
                     t,
-                    outputs,
                     &mut self.task_bytes,
                     &mut self.output_bytes,
                 );
@@ -139,7 +147,12 @@ impl LobsterDb {
         if self.frozen.len() <= ix {
             self.frozen.resize_with(ix + 1, FrozenRows::default);
         }
-        self.frozen[ix].advance(wf, &self.tasks, &self.outputs);
+        let rows = Rows {
+            tasks: &self.tasks,
+            scattered: &self.scattered,
+            outputs: &self.outputs,
+        };
+        self.frozen[ix].advance(wf, rows);
         let frozen = &self.frozen[ix];
 
         let mut live_tasks = Vec::new();
@@ -149,8 +162,7 @@ impl LobsterDb {
         for (row_ix, slot) in self.tasks.iter().enumerate().skip(frozen.frontier) {
             if let Some(t) = slot.as_ref().filter(|t| t.wf == wf) {
                 n_live_tasks += 1;
-                n_live_outputs +=
-                    put_row(row_ix, t, &self.outputs, &mut live_tasks, &mut live_outputs);
+                n_live_outputs += rows.put_row(row_ix, t, &mut live_tasks, &mut live_outputs);
             }
         }
 

@@ -856,7 +856,7 @@ impl ClusterSim {
     /// Queue analysis task `id` of workflow `wf_idx` for dispatch, drawing
     /// its CPU time from the rng.
     fn queue_analysis_task(&mut self, id: TaskId, wf_idx: usize, at: SimTime, attempt: u32) {
-        let n = self.db.task_tasklets(id).map_or(0, |t| t.len()) as u32;
+        let n = self.db.task_tasklet_count(id).unwrap_or(0) as u32;
         let wf = &self.workflows[wf_idx];
         let cpu = wf.sample_task_cpu(n, &mut self.rng);
         let (input, output) = (wf.task_input_bytes(n), wf.task_output_bytes(n));
@@ -1695,10 +1695,7 @@ impl ClusterSim {
             _ => {
                 // The tasklets stay assigned to the withdrawn task in the
                 // db — never re-issued — and the db accounts them dead.
-                self.db
-                    .task_tasklets(id)
-                    .map(|v| v.len() as u64)
-                    .unwrap_or(0)
+                self.db.task_tasklet_count(id).unwrap_or(0) as u64
             }
         };
         self.db.record_dead_letter(DeadLetter {

@@ -121,7 +121,7 @@ impl LocalLobster {
         // the beginning of the workflow", §4.1).
         let mut specs: Vec<(TaskId, Vec<u64>)> = Vec::new();
         while let Some(id) = self.db.create_task(name, self.cfg.tasklets_per_task) {
-            let tasklets = self.db.task_tasklets(id).expect("created").to_vec();
+            let tasklets = self.db.task_tasklets(id).expect("created");
             specs.push((id, tasklets));
         }
         // Submit: each task runs its tasklets and returns the concatenated

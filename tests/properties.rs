@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants that the whole reproduction leans on.
 
-use lobster::db::LobsterDb;
+use lobster::db::{LobsterDb, TaskState};
 use lobster::merge::MergePlanner;
 use proptest::prelude::*;
 use simkit::queue::Server;
@@ -9,7 +9,169 @@ use simkit::rng::SimRng;
 use simkit::stats::{binomial_ci, Histogram, Summary};
 use simkit::time::{SimDuration, SimTime};
 use simnet::link::FairLink;
-use wqueue::task::TaskId;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use wqueue::task::{Category, DeadLetter, FailureCode, TaskId};
+
+/// One workflow's tasklet ledger with every claim kept as a plain list:
+/// the model the db's run-and-side-table layout must agree with.
+struct LedgerModel {
+    total: u64,
+    /// Next never-claimed tasklet.
+    cursor: u64,
+    /// Tasklets returned by lost tasks, claimed again lowest first.
+    returned: BTreeSet<u64>,
+    /// Claim and state of task `i`.
+    claims: Vec<Vec<u64>>,
+    states: Vec<TaskState>,
+    /// Ready or running task ids.
+    live: Vec<usize>,
+    done: u64,
+    dead: u64,
+}
+
+impl LedgerModel {
+    fn new(total: u64) -> Self {
+        LedgerModel {
+            total,
+            cursor: 0,
+            returned: BTreeSet::new(),
+            claims: Vec::new(),
+            states: Vec::new(),
+            live: Vec::new(),
+            done: 0,
+            dead: 0,
+        }
+    }
+
+    /// Claim up to `n` tasklets, returned ones first.
+    fn create(&mut self, n: u32) -> Option<usize> {
+        let mut claim = Vec::new();
+        while claim.len() < n as usize {
+            if let Some(t) = self.returned.pop_first() {
+                claim.push(t);
+            } else if self.cursor < self.total {
+                claim.push(self.cursor);
+                self.cursor += 1;
+            } else {
+                break;
+            }
+        }
+        if claim.is_empty() {
+            return None;
+        }
+        self.claims.push(claim);
+        self.states.push(TaskState::Ready);
+        self.live.push(self.claims.len() - 1);
+        Some(self.claims.len() - 1)
+    }
+
+    /// Take live task number `pick` (mod the live count) out of `live`.
+    fn take_live(&mut self, pick: u64) -> Option<usize> {
+        if self.live.is_empty() {
+            return None;
+        }
+        let at = (pick % self.live.len() as u64) as usize;
+        Some(self.live.swap_remove(at))
+    }
+
+    /// True once some claim is not one contiguous run.
+    fn has_scattered_claim(&self) -> bool {
+        self.claims
+            .iter()
+            .any(|c| c.windows(2).any(|w| w[1] != w[0] + 1))
+    }
+}
+
+/// Why `db` disagrees with the model, if it does.
+fn ledger_mismatch(db: &LobsterDb, m: &LedgerModel) -> Result<(), String> {
+    prop_assert_eq!(db.task_count(), m.claims.len());
+    for (i, claim) in m.claims.iter().enumerate() {
+        let id = TaskId(i as u64);
+        prop_assert_eq!(db.task_tasklets(id), Some(claim.clone()), "claim of {}", id);
+        prop_assert_eq!(db.task_tasklet_count(id), Some(claim.len()));
+        prop_assert_eq!(db.task_state(id), Some(m.states[i]), "state of {}", id);
+    }
+    let unassigned = m.total - m.cursor + m.returned.len() as u64;
+    prop_assert_eq!(db.unassigned_tasklets("wf"), unassigned);
+    prop_assert_eq!(db.done_tasklets("wf"), m.done);
+    prop_assert_eq!(db.dead_tasklets("wf"), m.dead);
+    Ok(())
+}
+
+/// Apply one `(op, pick, size)` step to the db and the model alike.
+fn ledger_step(db: &mut LobsterDb, m: &mut LedgerModel, (op, pick, size): (u8, u64, u32)) {
+    match op {
+        // Create, and dispatch unless `op` leaves it ready.
+        0 | 1 => {
+            let id = db.create_task("wf", size);
+            assert_eq!(id.map(|t| t.0 as usize), m.create(size), "created id");
+            if let (Some(id), 0) = (id, op) {
+                db.mark_running(id).unwrap();
+                m.states[id.0 as usize] = TaskState::Running;
+            }
+        }
+        // Lose: the claim goes back to the pool.
+        2 => {
+            if let Some(i) = m.take_live(pick) {
+                db.mark_lost(TaskId(i as u64)).unwrap();
+                m.returned.extend(m.claims[i].iter().copied());
+                m.states[i] = TaskState::Lost;
+            }
+        }
+        // Finish (dispatching a ready task first).
+        3 => {
+            if let Some(i) = m.take_live(pick) {
+                let id = TaskId(i as u64);
+                if m.states[i] == TaskState::Ready {
+                    db.mark_running(id).unwrap();
+                }
+                db.mark_done(id, 10).unwrap();
+                m.done += m.claims[i].len() as u64;
+                m.states[i] = TaskState::Done;
+            }
+        }
+        // Dead-letter: withdrawn, never returned.
+        _ => {
+            if let Some(i) = m.take_live(pick) {
+                let units = m.claims[i].len() as u64;
+                db.record_dead_letter(DeadLetter {
+                    task: TaskId(i as u64),
+                    category: Category::Analysis,
+                    code: FailureCode::Evicted,
+                    attempts: 3,
+                    units,
+                    at: SimTime::ZERO,
+                });
+                m.dead += units;
+                m.states[i] = TaskState::Withdrawn;
+            }
+        }
+    }
+}
+
+/// A fresh journal directory for one property case.
+fn ledger_journal() -> PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("lobster-prop-ledger-{}-{case}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// The model against the live db and against a cold replay of `path`.
+fn ledger_mismatch_live_and_replayed(
+    db: &LobsterDb,
+    m: &LedgerModel,
+    path: &Path,
+    when: &str,
+) -> Result<(), String> {
+    ledger_mismatch(db, m).map_err(|e| format!("live, {when}: {e}"))?;
+    let replayed = LobsterDb::recover(path).map_err(|e| e.to_string())?;
+    ledger_mismatch(&replayed, m).map_err(|e| format!("replayed, {when}: {e}"))
+}
 
 proptest! {
     /// The merge planner covers every output exactly once, never creates
@@ -203,7 +365,7 @@ proptest! {
             // Invariant: done + unassigned + in-flight coverage == total.
             let in_flight: u64 = live
                 .iter()
-                .map(|t| db.task_tasklets(*t).unwrap().len() as u64)
+                .map(|t| db.task_tasklet_count(*t).unwrap() as u64)
                 .sum();
             prop_assert_eq!(
                 db.done_tasklets("wf") + db.unassigned_tasklets("wf") + in_flight,
@@ -221,4 +383,66 @@ proptest! {
         prop_assert!(db.all_done());
         prop_assert_eq!(db.done_tasklets("wf"), total);
     }
+
+    /// Tasks of mixed sizes, lost and re-claimed, split the returned
+    /// tasklets across claims, so some claims are not one run and the db
+    /// keeps their lists aside. Every claim, the unassigned count and the
+    /// done and dead counts match a model that keeps every claim as a
+    /// list: live, after a full replay of the journal, after compaction,
+    /// after recovery from the snapshot, and after more traffic on the
+    /// reopened db.
+    #[test]
+    fn db_scattered_claims_match_list_model(
+        ops in prop::collection::vec((0u8..5, any::<u64>(), 1u32..8), 1..120),
+        total in 1u64..150,
+    ) {
+        let path = ledger_journal();
+        let mut m = LedgerModel::new(total);
+        let (before, after) = ops.split_at(ops.len() / 2);
+        let mut db = LobsterDb::open(&path).unwrap();
+        db.register_workflow("wf", total);
+        for &op in before {
+            ledger_step(&mut db, &mut m, op);
+        }
+        ledger_mismatch_live_and_replayed(&db, &m, &path, "full journal")?;
+        db.compact().unwrap();
+        ledger_mismatch_live_and_replayed(&db, &m, &path, "compacted")?;
+        drop(db);
+        let mut db = LobsterDb::open(&path).unwrap();
+        ledger_mismatch(&db, &m).map_err(|e| format!("reopened from the snapshot: {e}"))?;
+        for &op in after {
+            ledger_step(&mut db, &mut m, op);
+        }
+        ledger_mismatch_live_and_replayed(&db, &m, &path, "snapshot and tail")?;
+        db.compact().unwrap();
+        ledger_mismatch_live_and_replayed(&db, &m, &path, "compacted again")?;
+        drop(db);
+        std::fs::remove_dir_all(&path).ok();
+    }
+}
+
+/// The property above only means something if its cases reach scattered
+/// claims: count the cases that do, with the same inputs it draws.
+#[test]
+fn db_scattered_claims_cases_reach_scattered_claims() {
+    let ops = prop::collection::vec((0u8..5, any::<u64>(), 1u32..8), 1..120);
+    let total = 1u64..150;
+    let cases = proptest::cases();
+    let scattered = (0..cases)
+        .filter(|&case| {
+            let mut rng = proptest::TestRng::for_case(case);
+            let ops = ops.sample(&mut rng);
+            let mut m = LedgerModel::new(total.sample(&mut rng));
+            let mut db = LobsterDb::in_memory();
+            db.register_workflow("wf", m.total);
+            for op in ops {
+                ledger_step(&mut db, &mut m, op);
+            }
+            m.has_scattered_claim()
+        })
+        .count() as u64;
+    assert!(
+        scattered * 4 >= cases,
+        "only {scattered} of {cases} cases claim a scattered list"
+    );
 }
