@@ -49,6 +49,29 @@ step cargo run -q -p simlint -- --check
 
 step cargo test --workspace -q
 
+# Paper captures: every figure and ablation at the paper's scale, in
+# the `paper` binary's print order, diffed against the committed
+# captures under docs/outputs/. crates/bench/tests/paper.rs asserts the
+# shape claims at reduced scale; this step also sees the ones that only
+# hold at full scale. Like chaos digest drift, a difference only prints
+# a notice: captures move when behaviour changes on purpose, and are
+# then re-recorded from `paper <name>` at that commit.
+echo
+echo "==> paper (release) vs docs/outputs/"
+mkdir -p target/paper
+env -u LOBSTER_SCALE cargo run -q --release -p lobster-bench --bin paper \
+    > target/paper/all.txt 2> target/paper/wall-clock.txt
+for name in fig02_eviction fig03_tasksize fig04_data_access \
+    fig05_proxy_scaling fig06_cache_modes fig07_merging \
+    fig08_runtime_table fig09_data_volume fig10_processing_run \
+    fig11_simulation_run ablation_adaptive ablation_alien_cache \
+    ablation_chirp ablation_foremen; do
+    cat "docs/outputs/$name.txt"
+done > target/paper/expected.txt
+if ! diff -u target/paper/expected.txt target/paper/all.txt; then
+    echo "notice: paper output differs from docs/outputs/ (diff above)"
+fi
+
 # Release-mode cluster-run smoke: fixed seed, failure-policy machinery
 # included; writes throughput numbers to BENCH_cluster.json plus the
 # ops-plane snapshot METRICS_cluster.json. Schema drift against the
