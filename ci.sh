@@ -81,7 +81,7 @@ step cargo run -q --release -p lobster-bench --bin bench_cluster
 # Render the ops dashboard straight from the committed snapshot — proves
 # the HTML view needs nothing but metrics.json. The artifact is
 # regenerated, not committed.
-step cargo run -q --release -p lobster --bin lobster -- \
+step cargo run -q --release -p scenario --bin lobster -- \
     dashboard METRICS_cluster.json --out DASHBOARD_cluster.html
 
 # Scale-campaign sweep (2.5k -> 20k cores with fault windows). Writes
@@ -102,15 +102,12 @@ step cargo run -q --release -p lobster-bench --bin bench_recovery
 # committed BENCH_multitenant.json's events/sec.
 step cargo run -q --release -p lobster-bench --bin bench_multitenant
 
-# Crash-consistency smoke: the sampled crash-point matrix (boundary,
-# in-commit-window, torn-append, and mid-compaction crashes, resume,
-# convergence).
+# Crash-consistency matrix in release: boundary, in-commit-window,
+# torn-append and mid-compaction crashes, resume and convergence, plus
+# the full 64-point sweep (`full_crash_matrix`), which compacts every
+# 200 records, so every crash site also exercises the incremental
+# snapshot encoder's frozen-row cache.
 step cargo test --release -q -p lobster --test crash_matrix
-
-# The full 64-point crash sweep (the #[ignore]d half of the matrix). It
-# compacts every 200 records, so every crash site also exercises the
-# incremental snapshot encoder's frozen-row cache.
-step cargo test --release -q -p lobster --test crash_matrix -- --ignored
 
 # The benchmark's own tests (perfbench/ is a separate cargo workspace):
 # its copy of the drive loop is pinned to lobster::Session through the

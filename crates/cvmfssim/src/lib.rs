@@ -14,18 +14,17 @@
 //!
 //! Modules:
 //! * [`catalog`] — synthetic CMSSW-release catalogs: file inventory, sizes,
-//!   per-job working sets (also serves the Frontier conditions payload).
+//!   per-job working sets (a hot cache also pays a fixed Frontier
+//!   conditions payload per task).
 //! * [`squid`] — a proxy as a fair-shared pipe with a per-client rate cap
 //!   and a load-dependent timeout/failure model.
 //! * [`parrot`] — the client cache: per-worker cache state and the five
 //!   sharing modes of Figure 6 with their serialisation semantics.
 
 pub mod catalog;
-pub mod frontier;
 pub mod parrot;
 pub mod squid;
 
 pub use catalog::ReleaseCatalog;
-pub use frontier::{ConditionsIov, FrontierDb};
 pub use parrot::{CacheMode, CacheState, SetupPlan};
 pub use squid::{Squid, SquidConfig};

@@ -1,7 +1,6 @@
 //! Property-based tests for the software-delivery models.
 
 use cvmfssim::catalog::{CatalogConfig, ReleaseCatalog};
-use cvmfssim::frontier::FrontierDb;
 use cvmfssim::parrot::{CacheMode, SetupPlan};
 use cvmfssim::squid::{Squid, SquidConfig};
 use proptest::prelude::*;
@@ -81,18 +80,5 @@ proptest! {
         prop_assert!(tn >= t1);
         prop_assert!((b1 - bytes as f64).abs() < 2.0);
         prop_assert!((bn - (clients as u64 * bytes) as f64).abs() < clients as f64 + 1.0);
-    }
-
-    /// Frontier: payload bytes for a run set never exceed the sum of all
-    /// IOV payloads and are monotone under adding runs.
-    #[test]
-    fn frontier_payload_monotone(runs in prop::collection::vec(190_000u32..190_400, 0..40)) {
-        let db = FrontierDb::synthetic(190_000, 8, 50, 8_000_000);
-        let total_catalogue: u64 = 8 * 8_000_000;
-        let p = db.payload_bytes(&runs);
-        prop_assert!(p <= total_catalogue);
-        let mut extended = runs.clone();
-        extended.push(190_399);
-        prop_assert!(db.payload_bytes(&extended) >= p);
     }
 }

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use simkit::time::SimDuration;
 
 /// How tasks obtain their input data.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum DataAccessMode {
     /// Stream via XrootD (the primary mode in production).
     Stream,

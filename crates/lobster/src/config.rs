@@ -1,23 +1,25 @@
-//! Lobster configuration.
+//! Lobster configuration: the master's in-memory run settings.
 //!
 //! "An execution begins with the main Lobster process that is invoked by
 //! the user to initiate a workload. The user provides a configuration file
 //! which describes the input data sources and the analysis code" (§3).
 //!
-//! The configuration is JSON on disk; every knob that the evaluation
-//! sweeps (task size, data access mode, merging mode, worker shape,
-//! infrastructure sizing) lives here with paper-calibrated defaults.
+//! In this reproduction that file is a scenario (the `scenario` crate's
+//! JSON format, run by `lobster simulate`), which compiles into a
+//! [`LobsterConfig`] plus the driver's `SimParams`. A `LobsterConfig` is
+//! never read from or written to disk itself: every knob that the
+//! evaluation sweeps (task size, data access mode, merging mode, worker
+//! shape, infrastructure sizing) lives here with paper-calibrated
+//! defaults, and the experiments set the ones they vary in code.
 
 use crate::access::DataAccessMode;
 use crate::merge::MergeMode;
 use serde::{Deserialize, Serialize};
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
-use std::io;
-use std::path::Path;
 
 /// Which kind of workload runs (affects the I/O profile, §6).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// Data processing: streams large inputs over the WAN (Figure 10).
     DataProcessing,
@@ -26,7 +28,7 @@ pub enum WorkloadKind {
 }
 
 /// One workflow to run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorkflowConfig {
     /// Label used in bookkeeping and output names.
     pub name: String,
@@ -73,7 +75,7 @@ impl WorkflowConfig {
 }
 
 /// Infrastructure sizing (proxies, stage-out, network).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InfraConfig {
     /// Number of Squid proxies deployed.
     pub n_squids: u32,
@@ -100,7 +102,7 @@ impl Default for InfraConfig {
 }
 
 /// Worker shape and provisioning targets.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorkerConfig {
     /// Cores per worker (paper: 8).
     pub cores_per_worker: u32,
@@ -123,7 +125,7 @@ impl Default for WorkerConfig {
 /// `base * factor^(n-1)`, capped at `max`, then jittered by a uniform
 /// `±jitter` fraction drawn from the caller's [`SimRng`] — the only
 /// randomness source permitted under the determinism lint.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Backoff {
     /// Delay after the first failure. `ZERO` disables the wait entirely.
     pub base: SimDuration,
@@ -166,7 +168,7 @@ impl Backoff {
 
 /// Optional per-segment watchdog deadlines, measured from entry into the
 /// segment. `None` leaves that segment unguarded (legacy behaviour).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SegmentDeadlines {
     /// Sandbox unpack + CVMFS environment population.
     pub env_setup: Option<SimDuration>,
@@ -180,7 +182,7 @@ pub struct SegmentDeadlines {
 
 /// Failure-handling policy: how long to watch each segment, how often to
 /// retry, and how to back off (§5's troubleshooting loop, made explicit).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts per task before it is dead-lettered. `None` retries
     /// forever (the legacy behaviour).
@@ -254,7 +256,7 @@ impl JournalPolicy {
 }
 
 /// The top-level Lobster configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LobsterConfig {
     /// Workflows to execute.
     pub workflows: Vec<WorkflowConfig>,
@@ -293,27 +295,6 @@ impl Default for LobsterConfig {
 }
 
 impl LobsterConfig {
-    /// Parse a configuration from JSON text.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// Serialise to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("config serialises")
-    }
-
-    /// Load from a file.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    /// Save to a file.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
     /// Validate invariants; returns a list of problems (empty = ok).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
@@ -387,16 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let cfg = LobsterConfig::default();
-        let json = cfg.to_json();
-        let back = LobsterConfig::from_json(&json).unwrap();
-        assert_eq!(back.workflows.len(), 1);
-        assert_eq!(back.workers.target_cores, 10_000);
-        assert_eq!(back.seed, 0xC0FFEE);
-    }
-
-    #[test]
     fn validation_catches_problems() {
         let mut cfg = LobsterConfig::default();
         cfg.workflows[0].tasklets_per_task = 0;
@@ -416,8 +387,10 @@ mod tests {
             cfg.journal.group_commit_records, 1,
             "never() is write-through"
         );
-        let back = LobsterConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(back.journal, JournalPolicy::never());
+        // The scenario format embeds the policy, so it round-trips.
+        let json = serde_json::to_string(&cfg.journal).unwrap();
+        let back: JournalPolicy = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, JournalPolicy::never());
         cfg.journal.snapshot_every_records = Some(0);
         cfg.journal.group_commit_records = 0;
         cfg.journal.group_commit_bytes = 0;
@@ -430,18 +403,6 @@ mod tests {
         let mut cfg = LobsterConfig::default();
         cfg.workflows = vec![WorkflowConfig::simulation("gen")];
         assert!(cfg.validate().is_empty());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("lobster-config-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cfg.json");
-        let cfg = LobsterConfig::default();
-        cfg.save(&path).unwrap();
-        let back = LobsterConfig::load(&path).unwrap();
-        assert_eq!(back.merge_target_bytes, cfg.merge_target_bytes);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -486,21 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_roundtrips_with_deadlines() {
-        let mut cfg = LobsterConfig::default();
-        cfg.retry.max_attempts = Some(4);
-        cfg.retry.deadlines.stage_in = Some(SimDuration::from_mins(30));
-        let back = LobsterConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(back.retry.max_attempts, Some(4));
-        assert_eq!(
-            back.retry.deadlines.stage_in,
-            Some(SimDuration::from_mins(30))
-        );
-        assert_eq!(back.retry.deadlines.execute, None);
-        assert_eq!(back.retry.slot_hold, cfg.retry.slot_hold);
-    }
-
-    #[test]
     fn validation_catches_bad_retry_policy() {
         let mut cfg = LobsterConfig::default();
         cfg.retry.max_attempts = Some(0);
@@ -510,15 +456,5 @@ mod tests {
         cfg.retry.requeue.max = SimDuration::from_mins(1);
         let problems = cfg.validate();
         assert_eq!(problems.len(), 4, "{problems:?}");
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("lobster-config-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        std::fs::write(&path, "{not json").unwrap();
-        assert!(LobsterConfig::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }

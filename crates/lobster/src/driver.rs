@@ -43,6 +43,11 @@ use std::path::Path;
 use wqueue::sim::{DispatchBuffer, WorkerTable};
 use wqueue::task::{Category, DeadLetter, FailureCode, TaskId};
 
+/// Merge-task CPU per GB of merged data.
+const MERGE_CPU_PER_GB: SimDuration = SimDuration::from_mins(1);
+/// Hadoop merge: parallel reducers.
+const HADOOP_REDUCERS: usize = 20;
+
 /// Simulation-only parameters on top of [`LobsterConfig`].
 #[derive(Clone, Debug)]
 pub struct SimParams {
@@ -62,10 +67,6 @@ pub struct SimParams {
     pub wq_collect: SimDuration,
     /// Timeline bin width.
     pub timeline_bin: SimDuration,
-    /// Merge-task CPU per GB of merged data.
-    pub merge_cpu_per_gb: SimDuration,
-    /// Hadoop merge: parallel reducers.
-    pub hadoop_reducers: usize,
     /// Hadoop merge: per-reducer throughput (bytes/second).
     pub hadoop_rate: f64,
     /// Enable the §8 adaptive task sizing controller.
@@ -104,8 +105,6 @@ impl Default for SimParams {
             foreman_capacity: 50,
             wq_collect: SimDuration::from_secs(10),
             timeline_bin: SimDuration::from_mins(30),
-            merge_cpu_per_gb: SimDuration::from_mins(1),
-            hadoop_reducers: 20,
             hadoop_rate: 100e6,
             adaptive: false,
             adaptive_cfg: AdaptiveConfig::default(),
@@ -876,7 +875,7 @@ impl ClusterSim {
 
     /// Queue merge task `id` (a journaled group of `bytes`) for dispatch.
     fn queue_merge_task(&mut self, id: TaskId, bytes: u64, at: SimTime) {
-        let cpu = self.params.merge_cpu_per_gb.mul_f64(bytes as f64 / 1e9);
+        let cpu = MERGE_CPU_PER_GB.mul_f64(bytes as f64 / 1e9);
         let t = TaskInfo::queued(0, Category::Merge, bytes, bytes, cpu, at, 0);
         self.tasks.insert(id, t);
         self.merge_queue.push_back(id);
@@ -1515,7 +1514,7 @@ impl ClusterSim {
         let mut groups: Vec<MergeGroup> =
             std::iter::from_fn(|| self.planner.next_group(1.0, true)).collect();
         groups.sort_by_key(|g| std::cmp::Reverse(g.bytes()));
-        let mut reducer_free = vec![SimDuration::ZERO; self.params.hadoop_reducers.max(1)];
+        let mut reducer_free = [SimDuration::ZERO; HADOOP_REDUCERS];
         for g in groups {
             let bytes = g.bytes();
             // The merge reads and writes the data once each, in-cluster.

@@ -9,9 +9,11 @@
 //!
 //! ## Module map
 //!
-//! * [`config`] — the user-provided configuration file (§3: "The user
-//!   provides a configuration file which describes the input data sources
-//!   and the analysis code").
+//! * [`config`] — the master's in-memory configuration. The file of §3
+//!   ("The user provides a configuration file which describes the input
+//!   data sources and the analysis code") is a scenario: the `scenario`
+//!   crate compiles one into a [`LobsterConfig`], and its `lobster`
+//!   binary runs it.
 //! * [`db`] — the Lobster DB: persistent tasklet→task bookkeeping with
 //!   crash recovery (the paper uses SQLite; we use an embedded journal).
 //! * [`workflow`] — work decomposition: dataset → tasklets → dynamically

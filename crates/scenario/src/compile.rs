@@ -171,6 +171,13 @@ pub fn compile(sc: &Scenario) -> Result<Compiled, ScenarioError> {
         journal: sc.journal,
         seed: sc.seed,
     };
+    // The driver refuses an invalid config with a panic, so report what
+    // the scenario checks above do not cover (backoff ceilings below
+    // their base, a journal policy that never commits) as data errors.
+    let problems = cfg.validate();
+    if !problems.is_empty() {
+        return Err(ScenarioError::Invalid(problems));
+    }
 
     let mut faults = Vec::with_capacity(sc.faults.len());
     for f in &sc.faults {

@@ -19,7 +19,10 @@
 //!
 //! The shipped scenario library lives under `scenarios/` at the
 //! repository root; `tests/scenario_matrix.rs` holds every file to the
-//! four invariants and `bench_chaos` sweeps randomized seeds in CI.
+//! four invariants and `bench_chaos` sweeps randomized seeds in CI. The
+//! crate's `lobster` binary is the command line over one file:
+//! `lobster simulate <scenario.json>` runs it, `lobster validate` checks
+//! it.
 
 pub mod chaos;
 pub mod compile;

@@ -400,6 +400,12 @@ impl Scenario {
         if self.infra.n_squids == 0 {
             problems.push("infra.n_squids is 0".to_string());
         }
+        if self.infra.chirp_connections == 0 {
+            problems.push("infra.chirp_connections is 0".to_string());
+        }
+        if !self.infra.wan_gbits.is_finite() || self.infra.wan_gbits <= 0.0 {
+            problems.push("infra.wan_gbits must be finite and > 0".to_string());
+        }
         if self.merge_target_mb == 0 {
             problems.push("merge_target_mb is 0".to_string());
         }

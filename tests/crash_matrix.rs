@@ -554,9 +554,9 @@ fn crash_mid_compaction_ignores_stray_tmp() {
 /// "died inside the final write of a commit" means a torn master tail —
 /// tearing a *shard* after master was flushed would fabricate a
 /// causality violation no real crash can produce (and which recovery
-/// now rejects). Expensive — run with `cargo test --release -- --ignored`.
+/// now rejects). The reference run is short, so the whole sweep stays
+/// well under a second in a debug build.
 #[test]
-#[ignore = "full sweep is release-bench territory; the smoke tests above cover the sampled matrix"]
 fn full_crash_matrix() {
     let mk = || setup(MergeMode::Interleaved, 10);
     let (reference, ref_path) = reference_run(&mk, "ref-full");

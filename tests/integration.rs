@@ -12,7 +12,7 @@ use lobster::config::{LobsterConfig, WorkflowConfig};
 use lobster::db::LobsterDb;
 use lobster::driver::{ClusterSim, SimParams};
 use lobster::local::{LocalConfig, LocalLobster, TaskletFn};
-use lobster::merge::{merge_in_hadoop, MergeMode, MergePlanner};
+use lobster::merge::{merge_in_hadoop, MergePlanner};
 use lobster::ops::run_trace;
 use lobster::tasksize::{simulate, TaskSizeConfig};
 use lobster::workflow::Workflow;
@@ -214,36 +214,6 @@ fn driver_and_tasksize_model_agree_on_overhead_economics() {
         "driver cpu fraction {cpu_frac:.3} vs model {:.3}",
         model.efficiency
     );
-}
-
-/// Config round-trips through JSON and drives a run identically.
-#[test]
-fn config_json_roundtrip_drives_identical_run() {
-    let mut cfg = LobsterConfig::default();
-    cfg.workers.target_cores = 32;
-    cfg.workers.cores_per_worker = 4;
-    cfg.merge = MergeMode::Hadoop;
-    cfg.seed = 123;
-    let cfg2 = LobsterConfig::from_json(&cfg.to_json()).expect("round-trips");
-
-    let run = |cfg: LobsterConfig| {
-        let ds = small_dataset(3);
-        let wf = Workflow::from_dataset(&cfg.workflows[0], &ds);
-        let params = SimParams {
-            availability: AvailabilityModel::notre_dame(),
-            pool: PoolConfig {
-                total_cores: 64,
-                owner_mean: 0.0,
-                reversion: 0.1,
-                noise: 0.0,
-                tick: SimDuration::from_mins(5),
-            },
-            horizon: SimDuration::from_hours(300),
-            ..SimParams::default()
-        };
-        ClusterSim::run(cfg, params, vec![wf])
-    };
-    assert_eq!(run_trace(&run(cfg)), run_trace(&run(cfg2)));
 }
 
 /// The Lobster DB journal written during a (simulated) crash replays to
