@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Pre-merge gate for this workspace (see docs/determinism.md).
 #
-#   ./ci.sh            # full gate: fmt, clippy, simlint, tests
+#   ./ci.sh            # full gate: fmt, clippy, docs, simlint, tests
 #   ./ci.sh --fast     # skip clippy (useful while iterating)
 #
 # Every step must pass; the script stops at the first failure. A run
@@ -35,6 +35,10 @@ step cargo fmt --all -- --check
 if [ "$fast" -eq 0 ]; then
     step cargo clippy --workspace --all-targets -- -D warnings
 fi
+
+# API docs build without a warning: no broken, private or ambiguous
+# intra-doc link.
+step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Determinism & robustness lints (rules 1-9: wall-clock, ambient RNG,
 # unordered iteration, library panics, WAL expects, journal coverage,
@@ -86,7 +90,9 @@ step cargo run -q --release -p scenario --bin lobster -- \
 
 # Scale-campaign sweep (2.5k -> 20k cores with fault windows). Writes
 # target/bench/BENCH_scale.json and fails if any sweep point loses more
-# than 20% of the committed BENCH_scale.json's events/sec.
+# than 20% of the committed BENCH_scale.json's events/sec, or peaks
+# above its committed peak heap (exact: the peak depends only on seed,
+# code and toolchain).
 step cargo run -q --release -p lobster-bench --bin bench_scale
 
 # Recovery bench: WAL v3 snapshot+tail vs full replay. Writes

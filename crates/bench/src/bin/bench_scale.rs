@@ -9,10 +9,13 @@
 //!
 //! For every sweep point it records events/sec, wall time, and a peak-RSS
 //! proxy from a counting global allocator. Results go to
-//! `target/bench/BENCH_scale.json`; if the committed `BENCH_scale.json`
-//! baseline is present, any sweep point whose events/sec regresses by
-//! more than 20% against it fails the run (exit 1). The baseline is never
-//! rewritten by a run (see [`lobster_bench::write_fresh_results`]).
+//! `target/bench/BENCH_scale.json`. If the committed `BENCH_scale.json`
+//! baseline is present, the run fails (exit 1) on any sweep point whose
+//! events/sec regresses by more than 20% against it, or whose peak heap
+//! is above it at all: the peak depends only on the seed, the code and
+//! the toolchain, never on the host, so it needs no tolerance. The
+//! baseline is never rewritten by a run (see
+//! [`lobster_bench::write_fresh_results`]).
 
 // The counting allocator below must implement `GlobalAlloc`, which is an
 // unsafe trait; the workspace otherwise denies unsafe code.
@@ -158,9 +161,16 @@ fn setup(cores: u32) -> (LobsterConfig, SimParams, Vec<Workflow>) {
     (cfg, params, vec![wf])
 }
 
-/// Baseline events/sec per cores value from a committed BENCH_scale.json,
-/// if one exists and parses.
-fn read_baseline(path: &str) -> Vec<(u32, f64)> {
+/// One sweep point of a committed BENCH_scale.json.
+struct Baseline {
+    cores: u32,
+    events_per_sec: f64,
+    peak_alloc_bytes: u64,
+}
+
+/// The sweep points of a committed BENCH_scale.json, if one exists and
+/// parses.
+fn read_baseline(path: &str) -> Vec<Baseline> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -190,11 +200,16 @@ fn read_baseline(path: &str) -> Vec<(u32, f64)> {
         let Some(fields) = p.as_object() else {
             continue;
         };
-        if let (Some(cores), Some(eps)) = (
+        if let (Some(cores), Some(eps), Some(peak)) = (
             Value::get_field(fields, "cores").and_then(&num),
             Value::get_field(fields, "events_per_sec").and_then(&num),
+            Value::get_field(fields, "peak_alloc_bytes").and_then(&num),
         ) {
-            out.push((cores as u32, eps));
+            out.push(Baseline {
+                cores: cores as u32,
+                events_per_sec: eps,
+                peak_alloc_bytes: peak as u64,
+            });
         }
     }
     out
@@ -254,10 +269,18 @@ fn main() {
 
     // Regression gate: compare against the committed baseline.
     let mut failed = false;
-    for (cores, old_eps) in &baseline {
-        let Some(new) = result.points.iter().find(|p| p.cores == *cores) else {
+    for old in &baseline {
+        let Some(new) = result.points.iter().find(|p| p.cores == old.cores) else {
             continue;
         };
+        let (cores, old_eps) = (old.cores, old.events_per_sec);
+        if new.peak_alloc_bytes > old.peak_alloc_bytes {
+            eprintln!(
+                "bench_scale: REGRESSION at {cores} cores: peak heap {} B > baseline {} B",
+                new.peak_alloc_bytes, old.peak_alloc_bytes
+            );
+            failed = true;
+        }
         let floor = old_eps * (1.0 - MAX_REGRESSION);
         if new.events_per_sec < floor {
             eprintln!(

@@ -1105,7 +1105,7 @@ pub fn fig11_simulation_run(scale: f64) -> SimulationRun {
     let tail_setup = *setup.iter().rev().find(|v| **v > 0.0).unwrap_or(&0.0);
     let wave = |w: &[f64]| w[1] > w[0] && w[1] > w[2] && w[1] > 0.1;
     let stageout = run.timeline.stageout_minutes();
-    let events = run.timeline.failure_events().iter();
+    let events = run.timeline.failure_events();
     let squid: Vec<_> = events.filter(|(_, c)| *c == EnvSetup).collect();
     let early = squid.iter().filter(|(t, _)| t.as_hours_f64() < 3.0).count();
     SimulationRun {

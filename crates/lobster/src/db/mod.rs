@@ -19,10 +19,10 @@
 //! file is a 16-byte `LBSTRWAL` header (magic, `u32` LE version 3, `u32`
 //! LE shard tag) followed by `u32` LE length + `u32` LE CRC-32 frames; a
 //! frame payload is a *batch*: a record-count varint followed by that
-//! many binary-coded records ([`codec`]). Group commit, the causal flush
-//! order and the torn-tail rule live in [`journal`]. Compaction is
-//! per-file: a shard compacts into one [`Record::ShardSnapshot`] frame,
-//! `master.wal` into one [`Record::MasterSnapshot`] frame ([`snapshot`]).
+//! many binary-coded records (the private `codec` module). Group commit,
+//! the causal flush order and the torn-tail rule live in `journal`.
+//! Compaction is per-file: a shard compacts into one `ShardSnapshot`
+//! frame, `master.wal` into one `MasterSnapshot` frame (`snapshot`).
 //!
 //! Recovery is total. A missing path is an empty journal and a directory
 //! is replayed; anything else, a regular file of any earlier or unknown
@@ -32,17 +32,26 @@
 //!
 //! # The task ledger in memory
 //!
-//! The id-indexed columns are the largest thing a master holds (about
-//! 64 bytes per task ever created; `tests/db_footprint.rs` bounds it):
+//! The id-indexed columns are the largest thing a master holds: 56 bytes
+//! per task ever created.
 //! - a task row is 24 bytes and stores its claim as a run, `first` and a
-//!   count ([`claim`]). A task claims returned tasklets first, then the
-//!   cursor's, so a claim is one run unless a lost task's tasklets split
-//!   across claims of another size. Such a scattered claim keeps its list
-//!   once, in a side table keyed by task id;
-//! - an output row is 16 bytes (24 with its `Option`): its index is the
-//!   producing task, so it does not repeat it;
-//! - the finish order is one `Vec<TaskId>`, sorted by the output rows'
-//!   `done_seq`.
+//!   count (the `claim` module). A task claims returned tasklets first,
+//!   then the cursor's, so a claim is one run unless a lost task's
+//!   tasklets split across claims of another size. Such a scattered
+//!   claim keeps its list once, in a side table keyed by task id;
+//! - an output row is 16 bytes, with its `Option` too: its index is the
+//!   producing task, so it does not repeat it, and it stores its
+//!   `done_seq` plus one, so an empty slot needs no tag;
+//! - the finish order is one `TaskId` column, sorted by the output rows'
+//!   `done_seq`, and the merge state is 8 bytes per output.
+//!
+//! Every column grows by fixed pages of 4096 rows, not by doubling. A
+//! doubling column is up to half slack, and while it grows its old and
+//! new buffers are both live, so the master's peak heap sat in the middle
+//! of copying the whole ledger. A paged column copies at most one page,
+//! and its slack is at most one partly filled page. At the 166,667 tasks
+//! of a 20k-core campaign the ledger peaks at 56.5 bytes per task;
+//! `tests/db_footprint.rs` bounds that peak at 64.
 //!
 //! None of this reaches the disk: `TaskCreated` records, shard snapshots
 //! and the frozen snapshot prefix encode a run as the tasklet list it
@@ -57,6 +66,7 @@ pub use journal::journal_bytes;
 
 use crate::config::JournalPolicy;
 use crate::monitor::Accounting;
+use crate::paged::Paged;
 use crate::wrapper::SegmentReport;
 pub(crate) use claim::{Claim, Tasklets};
 use journal::{GroupCommit, Journal, ScannedFile, MASTER_TAG};
@@ -65,6 +75,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
+use std::num::NonZeroU64;
 use std::path::Path;
 use wqueue::task::{Category, DeadLetter, TaskId};
 
@@ -165,14 +176,33 @@ pub enum TaskState {
 struct OutputFile {
     /// Size in bytes.
     bytes: u64,
-    /// Global finish-order sequence of the producing task's completion;
-    /// also the sort key of [`LobsterDb::done_order`].
-    done_seq: u64,
+    /// [`OutputFile::done_seq`] plus one: never zero, so an empty slot
+    /// of the column costs no tag.
+    seq_plus_one: NonZeroU64,
 }
 
-// An output row is 16 bytes, 24 with its `Option`: a field that grows
+// An output row is 16 bytes, with its `Option` too: a field that grows
 // the column fails the build here.
-const _: () = assert!(std::mem::size_of::<Option<OutputFile>>() <= 24);
+const _: () = assert!(std::mem::size_of::<Option<OutputFile>>() <= 16);
+
+impl OutputFile {
+    /// The row of an output of `bytes` whose task finished at `done_seq`.
+    /// `None` for the one seq a row cannot hold, `u64::MAX`: no run
+    /// finishes that many tasks, and replay refuses it.
+    fn new(bytes: u64, done_seq: u64) -> Option<Self> {
+        let seq_plus_one = NonZeroU64::new(done_seq.wrapping_add(1))?;
+        Some(OutputFile {
+            bytes,
+            seq_plus_one,
+        })
+    }
+
+    /// Global finish-order sequence of the producing task's completion;
+    /// also the sort key of [`LobsterDb::done_order`].
+    fn done_seq(self) -> u64 {
+        self.seq_plus_one.get() - 1
+    }
+}
 
 /// A merged output file.
 #[derive(Clone, Copy, Debug)]
@@ -438,7 +468,7 @@ pub struct LobsterDb {
     /// (>= [`MERGE_ID_BASE`]) fall outside the dense range and resolve to
     /// `None`, like a missing map key. A row is 24 bytes and holds its
     /// claim as a run ([`TaskRow`]).
-    tasks: Vec<Option<TaskRow>>,
+    tasks: Paged<Option<TaskRow>>,
     /// `Some` rows in `tasks`.
     n_tasks: usize,
     /// The lists of scattered claims, keyed by task id: a task that
@@ -447,13 +477,13 @@ pub struct LobsterDb {
     /// in most runs.
     scattered: BTreeMap<TaskId, Vec<u64>>,
     /// Output files indexed by producing task id (same dense id space).
-    outputs: Vec<Option<OutputFile>>,
+    outputs: Paged<Option<OutputFile>>,
     /// Done tasks in finish order (drives merge planning on resume),
     /// ascending by their output rows' `done_seq`. A live completion's
     /// seq is past every entry's, so it appends; sharded replay delivers
     /// completions shard by shard, and a sorted insert by seq restores
     /// the global finish order.
-    done_order: Vec<TaskId>,
+    done_order: Paged<TaskId>,
     merged_files: BTreeMap<String, MergedFile>,
     /// Planned merges not yet completed, keyed by merge task id.
     merge_groups: BTreeMap<TaskId, MergeInputs>,
@@ -461,7 +491,7 @@ pub struct LobsterDb {
     /// state kept beside the shard-owned `outputs` and sized with it, so
     /// only ids replay accepted as output rows ever size it. Snapshots
     /// read it in id order, the order the trees it replaced iterated in.
-    merge_state: Vec<MergeState>,
+    merge_state: Paged<MergeState>,
     /// `Merged` entries in `merge_state` (the snapshot's list length).
     n_merged: usize,
     /// Output rows whose state is `Free` or `Grouped` (a row-less id is
@@ -494,14 +524,14 @@ impl LobsterDb {
     pub fn in_memory() -> Self {
         LobsterDb {
             workflows: Vec::new(),
-            tasks: Vec::new(),
+            tasks: Paged::new(),
             n_tasks: 0,
             scattered: BTreeMap::new(),
-            outputs: Vec::new(),
-            done_order: Vec::new(),
+            outputs: Paged::new(),
+            done_order: Paged::new(),
             merged_files: BTreeMap::new(),
             merge_groups: BTreeMap::new(),
-            merge_state: Vec::new(),
+            merge_state: Paged::new(),
             n_merged: 0,
             n_unmerged: 0,
             dead_letters: Vec::new(),
@@ -742,13 +772,9 @@ impl LobsterDb {
                 let t = *t;
                 let tasklets = t.tasklets(id, &self.scattered).len() as u64;
                 self.workflows[t.wf as usize].state.done += tasklets;
-                self.insert_output_row(
-                    id,
-                    OutputFile {
-                        bytes: output_bytes,
-                        done_seq,
-                    },
-                );
+                // simlint::allow(no-panic-in-lib): replay invariant — the seq was checked
+                let out = OutputFile::new(output_bytes, done_seq).expect("done seq in range");
+                self.insert_output_row(id, out);
                 self.insert_done(id);
             }
             Record::TaskLost { id } => {
@@ -850,7 +876,7 @@ impl LobsterDb {
     /// `done_order.len()`, past the last entry's, so it appends in O(1)
     /// without a search; only sharded replay inserts in the middle.
     fn insert_done(&mut self, id: TaskId) {
-        let seq_of = |id: &TaskId| self.output_row(*id).map_or(0, |o| o.done_seq);
+        let seq_of = |id: &TaskId| self.output_row(*id).map_or(0, |o| o.done_seq());
         let seq = seq_of(&id);
         let at = match self.done_order.last() {
             Some(last) if seq_of(last) >= seq => {
@@ -923,7 +949,7 @@ impl LobsterDb {
                     o.map(|o| OutputSnap {
                         task,
                         bytes: o.bytes,
-                        done_seq: o.done_seq,
+                        done_seq: o.done_seq(),
                     })
                 })
                 .collect(),
@@ -1009,13 +1035,9 @@ impl LobsterDb {
             self.insert_task_row(t.id, s.wf, t.tasklets, t.state, t.attempts);
         }
         for o in s.outputs {
-            self.insert_output_row(
-                o.task,
-                OutputFile {
-                    bytes: o.bytes,
-                    done_seq: o.done_seq,
-                },
-            );
+            // simlint::allow(no-panic-in-lib): replay invariant — the seqs were checked
+            let out = OutputFile::new(o.bytes, o.done_seq).expect("done seq in range");
+            self.insert_output_row(o.task, out);
             self.insert_done(o.task);
         }
         for (seq, l) in s.dead_letters {
@@ -1710,7 +1732,10 @@ fn check_replayed(db: &LobsterDb, tag: u32, rec: &Record, id_bound: u64) -> Resu
                 return Err(format!("{id} attempt count overflows"));
             }
         }
-        Record::TaskDone { id, .. } => {
+        Record::TaskDone { id, done_seq, .. } => {
+            if OutputFile::new(0, *done_seq).is_none() {
+                return Err(format!("{id} done seq {done_seq} out of range"));
+            }
             let t = row_in(*id, &[TaskState::Running])?;
             let done = db.workflows[t.wf as usize].state.done;
             let n = t.tasklets(*id, &db.scattered).len() as u64;
@@ -1768,6 +1793,16 @@ fn check_replayed(db: &LobsterDb, tag: u32, rec: &Record, id_bound: u64) -> Resu
             }
             for t in &state.tasks {
                 new_row(t.id)?;
+            }
+            if let Some(o) = state
+                .outputs
+                .iter()
+                .find(|o| OutputFile::new(o.bytes, o.done_seq).is_none())
+            {
+                return Err(format!(
+                    "output of {} done seq {} out of range",
+                    o.task, o.done_seq
+                ));
             }
             // Both lists are in ascending id order: one forward walk.
             let mut ids = state.tasks.iter().map(|t| t.id);
@@ -3004,6 +3039,17 @@ mod tests {
             done_seq: 0,
         };
         let orphaned = snap(|s| s.outputs.push(orphan));
+        let last_seq = || R::TaskDone {
+            id: TaskId(0),
+            output_bytes: 1,
+            done_seq: u64::MAX,
+        };
+        let last_output = OutputSnap {
+            task: TaskId(0),
+            bytes: 1,
+            done_seq: u64::MAX,
+        };
+        let last_snapped = snap(|s| s.outputs.push(last_output));
         let group = (TaskId(MERGE_ID_BASE), vec![(TaskId(0), 1)]);
         let dangling = master_snap(|s| s.merge_groups.push(group));
         let max = u64::MAX;
@@ -3023,6 +3069,16 @@ mod tests {
             (0, vec![wf(0), backoff], "belongs in master.wal"),
             (0, vec![snap(|s| s.cursor = 9)], "cursor 9 past 8"),
             (0, vec![orphaned], "output of task#3 has no task row"),
+            (
+                0,
+                vec![wf(0), new(0, 0, 0), run(0), last_seq()],
+                "done seq 18446744073709551615 out of range",
+            ),
+            (
+                0,
+                vec![last_snapped],
+                "done seq 18446744073709551615 out of range",
+            ),
             (m, vec![merge], "merge id 5 below"),
             (m, vec![dangling], "causality"),
             (m, vec![merged(vec![TaskId(0)])], "task#0 has no output row"),

@@ -23,6 +23,7 @@
 use super::codec::{self, tag};
 use super::journal::snapshot_buffer;
 use super::{LobsterDb, MergeState, OutputFile, TaskRow, TaskState, MASTER_TAG};
+use crate::paged::Paged;
 use std::collections::BTreeMap;
 use wqueue::task::TaskId;
 
@@ -51,9 +52,9 @@ fn is_final(state: TaskState) -> bool {
 /// The db columns a row's snapshot entries are encoded from.
 #[derive(Clone, Copy)]
 struct Rows<'a> {
-    tasks: &'a [Option<TaskRow>],
+    tasks: &'a Paged<Option<TaskRow>>,
     scattered: &'a BTreeMap<TaskId, Vec<u64>>,
-    outputs: &'a [Option<OutputFile>],
+    outputs: &'a Paged<Option<OutputFile>>,
 }
 
 impl Rows<'_> {
@@ -73,7 +74,7 @@ impl Rows<'_> {
         codec::put_task_entry(tasks_buf, id, tasklets, t.state, t.attempts);
         match self.outputs.get(ix).and_then(Option::as_ref) {
             Some(o) => {
-                codec::put_output_entry(outputs_buf, id, o.bytes, o.done_seq);
+                codec::put_output_entry(outputs_buf, id, o.bytes, o.done_seq());
                 1
             }
             None => 0,
@@ -159,7 +160,7 @@ impl LobsterDb {
         let mut live_outputs = Vec::new();
         let mut n_live_tasks = 0u64;
         let mut n_live_outputs = 0u64;
-        for (row_ix, slot) in self.tasks.iter().enumerate().skip(frozen.frontier) {
+        for (row_ix, slot) in (frozen.frontier..).zip(self.tasks.iter_from(frozen.frontier)) {
             if let Some(t) = slot.as_ref().filter(|t| t.wf == wf) {
                 n_live_tasks += 1;
                 n_live_outputs += rows.put_row(row_ix, t, &mut live_tasks, &mut live_outputs);

@@ -20,6 +20,7 @@ use crate::db::LobsterDb;
 use crate::fault::{FaultPlan, FaultTarget};
 use crate::merge::{MergeGroup, MergeMode, MergePlanner};
 use crate::monitor::{Accounting, AdvisorConfig, Monitor, SegmentHistograms, Timeline};
+use crate::paged::Paged;
 use crate::session::{Session, Stop};
 use crate::workflow::Workflow;
 use crate::wrapper::{ReportBuilder, Segment, SegmentReport};
@@ -230,11 +231,12 @@ impl TaskInfo {
 }
 
 /// In-flight task ledger. Analysis ids are handed out densely from 0,
-/// so they index a direct slab; merge ids (>= [`crate::db::MERGE_ID_BASE`])
-/// are sparse and few at a time, so they stay in an ordered map. Rows
-/// are boxed so a vacant slot costs one pointer, not a whole row.
+/// so they index a direct paged slab; merge ids (>=
+/// [`crate::db::MERGE_ID_BASE`]) are sparse and few at a time, so they
+/// stay in an ordered map. Rows are boxed so a vacant slot costs one
+/// pointer, not a whole row.
 struct TaskTable {
-    analysis: Vec<Option<Box<TaskInfo>>>,
+    analysis: Paged<Option<Box<TaskInfo>>>,
     merge: BTreeMap<TaskId, Box<TaskInfo>>,
     live: usize,
 }
@@ -242,7 +244,7 @@ struct TaskTable {
 impl TaskTable {
     fn new() -> Self {
         TaskTable {
-            analysis: Vec::new(),
+            analysis: Paged::new(),
             merge: BTreeMap::new(),
             live: 0,
         }
@@ -979,7 +981,7 @@ impl ClusterSim {
             let Some(w) = t.worker else { return };
             w
         };
-        self.arm_watchdog(id, Segment::EnvInit, ctx);
+        self.arm_watchdog(id, Segment::EnvInit, None, ctx);
         let hot = self.table.get(worker).map(|w| w.cache_hot).unwrap_or(false);
         let squid_idx = (worker as usize) % self.squids.len();
         if hot {
@@ -1075,11 +1077,19 @@ impl ClusterSim {
     /// after `from`. No-op when the segment has no configured deadline —
     /// any previously armed watchdog is still cancelled, so segments
     /// without deadlines never inherit a stale one.
+    ///
+    /// `completes` is the instant of the segment's completion event when
+    /// that is already scheduled (a Chirp grant, an execute). A deadline
+    /// no earlier than it cannot fire: the completion was scheduled
+    /// first, so it is delivered first, wins a tie, and moves the task on.
+    /// Such a watchdog is not scheduled, which spares the queue a slot
+    /// and the tombstone its cancellation would leave.
     fn arm_watchdog_from(
         &mut self,
         id: TaskId,
         segment: Segment,
         from: SimTime,
+        completes: Option<SimTime>,
         ctx: &mut Ctx<Ev>,
     ) {
         let deadline = self.segment_deadline(segment);
@@ -1090,15 +1100,25 @@ impl ClusterSim {
             ctx.cancel(ev);
         }
         let Some(dl) = deadline else { return };
+        if completes.is_some_and(|done| done <= from + dl) {
+            return;
+        }
         self.watchdog_seq += 1;
         let seq = self.watchdog_seq;
         let ev = ctx.schedule_at(from + dl, Ev::Deadline(id, seq));
         t.watchdog = Some((seq, segment, ev));
     }
 
-    /// Arm `id`'s watchdog for `segment`, measured from now.
-    fn arm_watchdog(&mut self, id: TaskId, segment: Segment, ctx: &mut Ctx<Ev>) {
-        self.arm_watchdog_from(id, segment, ctx.now(), ctx);
+    /// Arm `id`'s watchdog for `segment`, measured from now, ahead of a
+    /// completion scheduled at `completes` if there is one.
+    fn arm_watchdog(
+        &mut self,
+        id: TaskId,
+        segment: Segment,
+        completes: Option<SimTime>,
+        ctx: &mut Ctx<Ev>,
+    ) {
+        self.arm_watchdog_from(id, segment, ctx.now(), completes, ctx);
     }
 
     /// Cancel `id`'s armed watchdog, if any.
@@ -1214,7 +1234,7 @@ impl ClusterSim {
                 b.times_mut().cpu = cpu;
             }
             ctx.schedule(cpu, Ev::ExecDone(id, attempt));
-            self.arm_watchdog(id, Segment::Execute, ctx);
+            self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
         } else if kind == WorkloadKind::Simulation || category == Category::Merge {
             // Input staged from *local* storage via Chirp: the pile-up
             // overlay for simulation tasks (§6), and the already
@@ -1230,7 +1250,7 @@ impl ClusterSim {
                         b.times_mut().stage_in = grant.done - now;
                     }
                     ctx.schedule_at(grant.done, Ev::DataStaged(id, attempt));
-                    self.arm_watchdog(id, Segment::StageIn, ctx);
+                    self.arm_watchdog(id, Segment::StageIn, Some(grant.done), ctx);
                 }
                 Err(ChirpDown) => self.fail_attempt(id, Segment::StageIn, false, ctx),
             }
@@ -1262,7 +1282,7 @@ impl ClusterSim {
                     b.times_mut().cpu = cpu;
                 }
                 ctx.schedule(cpu, Ev::ExecDone(id, attempt));
-                self.arm_watchdog(id, Segment::Execute, ctx);
+                self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
             } else if streaming {
                 // XrootD stream: execution overlaps the WAN transfer.
                 match self.fed.open(now, &self.consumer, wan_input, &mut self.rng) {
@@ -1280,7 +1300,7 @@ impl ClusterSim {
                         // The stage-in watchdog covers the whole stream: a
                         // blackout that freezes the WAN mid-transfer would
                         // otherwise pin this slot to the horizon.
-                        self.arm_watchdog(id, Segment::StageIn, ctx);
+                        self.arm_watchdog(id, Segment::StageIn, None, ctx);
                     }
                     Err(_) => self.fail_attempt(id, Segment::StageIn, false, ctx),
                 }
@@ -1297,7 +1317,7 @@ impl ClusterSim {
                         };
                         t.data_flow = Some(flow);
                         t.phase = Phase::Data;
-                        self.arm_watchdog(id, Segment::StageIn, ctx);
+                        self.arm_watchdog(id, Segment::StageIn, None, ctx);
                     }
                     Err(_) => self.fail_attempt(id, Segment::StageIn, false, ctx),
                 }
@@ -1322,7 +1342,7 @@ impl ClusterSim {
             b.times_mut().cpu = cpu;
         }
         ctx.schedule(cpu, Ev::ExecDone(id, attempt));
-        self.arm_watchdog(id, Segment::Execute, ctx);
+        self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
     }
 
     fn reschedule_fed(&mut self, ctx: &mut Ctx<Ev>) {
@@ -1364,8 +1384,8 @@ impl ClusterSim {
                     // The stream survived its watchdog; hand over to the
                     // execute deadline, measured from the segment entry
                     // (stream open). Completion is scheduled first, so a
-                    // deadline landing at the same instant loses the tie.
-                    self.arm_watchdog_from(id, Segment::Execute, started, ctx);
+                    // deadline landing no later than it is not armed.
+                    self.arm_watchdog_from(id, Segment::Execute, started, Some(end), ctx);
                 }
                 Phase::Data => {
                     t.data_flow = None;
@@ -1379,7 +1399,7 @@ impl ClusterSim {
                     }
                     let (attempt, cpu) = (t.attempt, t.cpu);
                     ctx.schedule_at(now + cpu, Ev::ExecDone(id, attempt));
-                    self.arm_watchdog(id, Segment::Execute, ctx);
+                    self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
                 }
                 _ => {}
             }
@@ -1410,7 +1430,7 @@ impl ClusterSim {
                     b.times_mut().stage_out = grant.done - now;
                 }
                 ctx.schedule_at(grant.done, Ev::StageOutDone(id, attempt));
-                self.arm_watchdog(id, Segment::StageOut, ctx);
+                self.arm_watchdog(id, Segment::StageOut, Some(grant.done), ctx);
             }
             Err(ChirpDown) => self.fail_attempt(id, Segment::StageOut, false, ctx),
         }
@@ -2223,8 +2243,8 @@ pub(crate) mod tests {
             "blackout must fail stage-ins: {report:?}"
         );
         assert!(
-            report.timeline.failure_events().iter().any(|(t, code)| {
-                *code == wqueue::task::FailureCode::StageIn
+            report.timeline.failure_events().any(|(t, code)| {
+                code == wqueue::task::FailureCode::StageIn
                     && t.as_hours_f64() >= 70.0 / 60.0
                     && t.as_hours_f64() <= 135.0 / 60.0
             }),
@@ -2368,6 +2388,57 @@ pub(crate) mod tests {
         assert_eq!(report.tasks_failed, 0, "nothing even reports a failure");
     }
 
+    /// A watchdog whose deadline is no earlier than its segment's
+    /// already-scheduled completion (a Chirp grant, an execute) cannot
+    /// fire, so it is never scheduled: deadlines longer than every grant
+    /// leave the queue exactly as a run without deadlines does, event by
+    /// event, tombstones included.
+    #[test]
+    fn deadlines_past_every_grant_never_reach_the_queue() {
+        let run = |deadline: Option<SimDuration>| {
+            let mut cfg = LobsterConfig::default();
+            cfg.workflows = vec![WorkflowConfig::simulation("gen")];
+            cfg.merge = MergeMode::Interleaved;
+            cfg.workers.target_cores = 64;
+            cfg.workers.cores_per_worker = 4;
+            cfg.seed = 11;
+            cfg.retry.deadlines.stage_in = deadline;
+            cfg.retry.deadlines.execute = deadline;
+            cfg.retry.deadlines.stage_out = deadline;
+            let wf = Workflow::simulation(&cfg.workflows[0], 3_000, 50_000_000);
+            let params = SimParams {
+                availability: AvailabilityModel::notre_dame(),
+                horizon: SimDuration::from_hours(48),
+                ..SimParams::default()
+            };
+            let (until, kind) = (SimTime::ZERO + params.horizon, params.engine);
+            let mut engine = Engine::with_kind(ClusterSim::new(cfg, params, vec![wf]), kind);
+            engine.prime(SimDuration::ZERO, Ev::Start);
+            let mut steps = Vec::new();
+            while engine.ctx().peek_time().is_some_and(|t| t <= until) {
+                engine.run_until_events(until, 1);
+                steps.push((engine.ctx().tombstones(), engine.ctx().pending()));
+            }
+            let (now, delivered) = (engine.now(), engine.delivered());
+            let report = engine.into_model().into_report(now, delivered);
+            assert!(report.finished_at.is_some() && report.evictions > 0);
+            assert!(report.merges_completed > 0);
+            (crate::ops::run_trace(&report), steps)
+        };
+        let (plain, plain_steps) = run(None);
+        let (armed, armed_steps) = run(Some(SimDuration::from_hours(1_000)));
+        assert_eq!(armed, plain);
+        assert_eq!(armed_steps.len(), plain_steps.len());
+        let first_diff = armed_steps
+            .iter()
+            .zip(&plain_steps)
+            .position(|(a, p)| a != p);
+        assert_eq!(
+            first_diff, None,
+            "(tombstones, pending) differ at this event"
+        );
+    }
+
     /// Same blackout, but a StageIn watchdog deadline plus a retry budget
     /// kills the stuck streams, backs off through the window, and retries
     /// them to success once the WAN returns.
@@ -2398,8 +2469,7 @@ pub(crate) mod tests {
         assert!(report
             .timeline
             .watchdog_events()
-            .iter()
-            .any(|(_, s)| *s == Segment::StageIn));
+            .any(|(_, s)| s == Segment::StageIn));
         assert!(report.accounting.retries > 0);
         assert!(report.accounting.backoff_hours > 0.0);
         assert!(report.dead_letters.is_empty(), "budget of 50 is plenty");
@@ -2475,13 +2545,11 @@ pub(crate) mod tests {
         assert!(report
             .timeline
             .watchdog_events()
-            .iter()
-            .any(|(_, s)| *s == Segment::EnvInit));
+            .any(|(_, s)| s == Segment::EnvInit));
         assert!(report
             .timeline
             .failure_events()
-            .iter()
-            .any(|(_, c)| *c == wqueue::task::FailureCode::EnvSetup));
+            .any(|(_, c)| c == wqueue::task::FailureCode::EnvSetup));
         assert!(report.accounting.retries > 0);
         assert!(report.accounting.backoff_hours > 0.0, "slot holds accrue");
     }
@@ -2518,12 +2586,8 @@ pub(crate) mod tests {
         };
         let report = ClusterSim::run(cfg, params, vec![wf]);
         assert!(report.finished_at.is_some(), "{report:?}");
-        let codes: BTreeSet<wqueue::task::FailureCode> = report
-            .timeline
-            .failure_events()
-            .iter()
-            .map(|(_, c)| *c)
-            .collect();
+        let codes: BTreeSet<wqueue::task::FailureCode> =
+            report.timeline.failure_events().map(|(_, c)| c).collect();
         assert!(
             codes.contains(&wqueue::task::FailureCode::StageIn),
             "{codes:?}"

@@ -53,6 +53,7 @@ pub mod local;
 pub mod merge;
 pub mod monitor;
 pub mod ops;
+mod paged;
 pub mod publish;
 pub mod session;
 pub mod tasksize;

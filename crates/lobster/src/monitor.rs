@@ -21,6 +21,7 @@
 //! counters and the dead-letter ledger — is journaled in the Lobster DB
 //! ([`crate::db`]), which folds every attempt into its own [`Accounting`].
 
+use crate::paged::Paged;
 use crate::wrapper::{Segment, SegmentReport};
 use serde::{Deserialize, Serialize};
 use simkit::stats::{Histogram, TimeSeries};
@@ -172,9 +173,9 @@ pub struct Timeline {
     /// Stage-out minutes, recorded at attempt finish.
     stageout_mins: TimeSeries,
     /// Failure codes per bin, for the Figure 11 bottom panel.
-    failures_by_code: Vec<(SimTime, FailureCode)>,
+    failures_by_code: Paged<(SimTime, FailureCode)>,
     /// Watchdog aborts with the segment whose deadline fired.
-    watchdog_aborts: Vec<(SimTime, Segment)>,
+    watchdog_aborts: Paged<(SimTime, Segment)>,
     /// Dead-lettered tasks per bin.
     dead_lettered: TimeSeries,
 }
@@ -189,8 +190,8 @@ impl Timeline {
             failed: TimeSeries::new(bin),
             setup_mins: TimeSeries::new(bin),
             stageout_mins: TimeSeries::new(bin),
-            failures_by_code: Vec::new(),
-            watchdog_aborts: Vec::new(),
+            failures_by_code: Paged::new(),
+            watchdog_aborts: Paged::new(),
             dead_lettered: TimeSeries::new(bin),
         }
     }
@@ -268,14 +269,16 @@ impl Timeline {
         self.stageout_mins.means()
     }
 
-    /// Failure events with codes (Fig. 11 bottom panel).
-    pub fn failure_events(&self) -> &[(SimTime, FailureCode)] {
-        &self.failures_by_code
+    /// Failure events with codes (Fig. 11 bottom panel), in the order
+    /// the attempts were recorded.
+    pub fn failure_events(&self) -> impl Iterator<Item = (SimTime, FailureCode)> + '_ {
+        self.failures_by_code.iter().copied()
     }
 
-    /// Watchdog-abort events with the segment whose deadline fired.
-    pub fn watchdog_events(&self) -> &[(SimTime, Segment)] {
-        &self.watchdog_aborts
+    /// Watchdog-abort events with the segment whose deadline fired, in
+    /// the order the attempts were recorded.
+    pub fn watchdog_events(&self) -> impl Iterator<Item = (SimTime, Segment)> + '_ {
+        self.watchdog_aborts.iter().copied()
     }
 
     /// Dead-lettered tasks per bin.
@@ -506,7 +509,7 @@ impl MeanAcc {
 /// one-directional Chirp overload had to reach 2× the threshold before
 /// firing), and every mean used the total attempt count as denominator
 /// (so early watchdog aborts diluted downstream-segment means). Each
-/// signal now keeps its own [`MeanAcc`] fed only by attempts that
+/// signal now keeps its own mean accumulator fed only by attempts that
 /// [`SegmentReport::measured`] the segment.
 #[derive(Clone, Debug, Default)]
 pub struct Advisor {
@@ -667,8 +670,8 @@ mod tests {
         let mut tl = Timeline::new(SimDuration::from_secs(60));
         tl.record(&report(0, 0, true, 0, 30));
         assert_eq!(tl.failures()[0], 1.0);
-        assert_eq!(tl.failure_events().len(), 1);
-        assert_eq!(tl.failure_events()[0].1, FailureCode::StageIn);
+        let codes: Vec<_> = tl.failure_events().map(|(_, c)| c).collect();
+        assert_eq!(codes, [FailureCode::StageIn]);
         assert!(tl.completions().first().copied().unwrap_or(0.0) == 0.0);
     }
 
@@ -862,8 +865,8 @@ mod tests {
         tl.record(&watchdog_report(Segment::StageIn, 0, 30, 0));
         tl.record(&report(0, 0, true, 0, 30)); // plain failure
         tl.record_dead_letter(SimTime::from_secs(45));
-        assert_eq!(tl.watchdog_events().len(), 1);
-        assert_eq!(tl.watchdog_events()[0].1, Segment::StageIn);
+        let segments: Vec<_> = tl.watchdog_events().map(|(_, s)| s).collect();
+        assert_eq!(segments, [Segment::StageIn]);
         assert_eq!(tl.failures()[0], 2.0, "watchdog aborts are failures too");
         assert_eq!(tl.dead_letters()[0], 1.0);
     }

@@ -7,7 +7,7 @@
 //! scenario's own seeds), so a scenario file pins a run completely.
 
 use crate::spec::{
-    AccessSpec, AvailabilitySpec, Scenario, ScenarioError, WorkloadKindSpec, WorkloadSpec,
+    AccessSpec, AvailabilitySpec, Scenario, ScenarioError, WorkloadKindSpec, WorkloadSpec, MB,
 };
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
@@ -23,8 +23,6 @@ use lobster::workflow::Workflow;
 use simkit::dist::Empirical;
 use simkit::time::SimDuration;
 use simnet::outage::OutageSchedule;
-
-const MB: u64 = 1_000_000;
 
 /// A scenario compiled down to driver inputs. `SimParams`/`LobsterConfig`
 /// are consumed per run, so re-compile (cheap) for every fresh simulation.

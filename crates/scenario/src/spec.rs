@@ -3,7 +3,7 @@
 //! A [`Scenario`] is everything a run needs, as data: pool composition and
 //! churn, workload mix and sizing, retry/journal policy, and fault windows
 //! over [`FaultTarget`]s. Scenarios live as JSON files under `scenarios/`
-//! at the repository root; [`Scenario::load`] + [`crate::compile`] turn one
+//! at the repository root; [`Scenario::load`] + [`crate::compile()`] turn one
 //! into a runnable `(LobsterConfig, SimParams, Vec<Workflow>)` triple.
 //!
 //! The vendored serde shim requires every field to be present in the JSON
@@ -13,12 +13,26 @@
 use lobster::config::JournalPolicy;
 use lobster::fault::{Fault, FaultError, FaultTarget};
 use lobster::merge::MergeMode;
+use lobster::workflow::LUMIS_PER_TASKLET;
 use serde::{Deserialize, Serialize};
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageError, OutageSchedule};
 use std::fmt;
 use std::io;
 use std::path::Path;
+
+/// The most tasklets one workload may declare: a simulation's `tasklets`,
+/// or a dataset's lumi sections over [`LUMIS_PER_TASKLET`]. Analysis task
+/// ids count up from 0, one per task created, and must stay well below
+/// [`lobster::db::MERGE_ID_BASE`] (10^9), where merge ids begin.
+pub const MAX_TASKLETS: u64 = 100_000_000;
+
+/// The most files a dataset may declare: generating its catalogue
+/// allocates an entry per file up front.
+pub const MAX_FILES: u64 = 1_000_000;
+
+/// Bytes per megabyte in the scenario's MB fields.
+pub(crate) const MB: u64 = 1_000_000;
 
 /// Why a scenario file cannot be run.
 #[derive(Debug)]
@@ -462,6 +476,7 @@ impl Scenario {
                 }
             }
         }
+        self.check_ranges(&mut problems);
         let mut seen_tenants = std::collections::BTreeSet::new();
         for t in &self.tenants {
             if t.name.is_empty()
@@ -500,5 +515,105 @@ impl Scenario {
         OutageSchedule::try_new(self.wan_outages.iter().map(|w| w.to_outage()).collect())
             .map_err(ScenarioError::WanOutage)?;
         Ok(())
+    }
+
+    /// Every number `compile` converts or decomposition allocates for
+    /// must fit: hours and minutes in the microsecond clock, megabytes
+    /// in byte counts (per task for the per-tasklet sizes, per dataset
+    /// for file sizes), and tasklet and file counts under
+    /// [`MAX_TASKLETS`] and [`MAX_FILES`].
+    fn check_ranges(&self, problems: &mut Vec<String>) {
+        let mut mins = |label: &str, m: u64| {
+            if SimDuration::checked_from_mins(m).is_none() {
+                problems.push(format!("{label} of {m} minutes overflows the clock"));
+            }
+        };
+        mins("pool.tick_mins", self.pool.tick_mins);
+        let r = &self.retry;
+        mins("retry.requeue_base_mins", r.requeue_base_mins);
+        mins("retry.requeue_max_mins", r.requeue_max_mins);
+        mins("retry.slot_hold_base_mins", r.slot_hold_base_mins);
+        mins("retry.slot_hold_max_mins", r.slot_hold_max_mins);
+        for (label, m) in [
+            ("retry.env_setup_deadline_mins", r.env_setup_deadline_mins),
+            ("retry.stage_in_deadline_mins", r.stage_in_deadline_mins),
+            ("retry.execute_deadline_mins", r.execute_deadline_mins),
+            ("retry.stage_out_deadline_mins", r.stage_out_deadline_mins),
+        ] {
+            if let Some(m) = m {
+                mins(label, m);
+            }
+        }
+        let windows = self.faults.iter().flat_map(|f| &f.windows);
+        for w in self.wan_outages.iter().chain(windows) {
+            mins("window start_mins", w.start_mins);
+            mins("window end_mins", w.end_mins);
+        }
+        if SimDuration::checked_from_hours(self.horizon_hours).is_none() {
+            problems.push(format!(
+                "horizon_hours of {} overflows the clock",
+                self.horizon_hours
+            ));
+        }
+        let fits = |mb: u64, times: u64| mb.checked_mul(MB).and_then(|b| b.checked_mul(times));
+        if fits(self.merge_target_mb, 1).is_none() {
+            problems.push("merge_target_mb overflows a byte count".to_string());
+        }
+        for w in &self.workloads {
+            let per_task = u64::from(w.tasklets_per_task);
+            if fits(w.output_mb_per_tasklet, per_task).is_none() {
+                problems.push(format!(
+                    "workload {}: output_mb_per_tasklet × tasklets_per_task overflows a byte count",
+                    w.name
+                ));
+            }
+            let tasklets = match &w.kind {
+                WorkloadKindSpec::Simulation {
+                    tasklets,
+                    pileup_mb_per_tasklet,
+                } => {
+                    if fits(*pileup_mb_per_tasklet, per_task).is_none() {
+                        problems.push(format!(
+                            "workload {}: pileup_mb_per_tasklet × tasklets_per_task overflows a byte count",
+                            w.name
+                        ));
+                    }
+                    *tasklets
+                }
+                WorkloadKindSpec::DataProcessing { dataset } => {
+                    if dataset.n_files > MAX_FILES {
+                        problems.push(format!(
+                            "workload {}: {} files is over the limit of {MAX_FILES}",
+                            w.name, dataset.n_files
+                        ));
+                        continue;
+                    }
+                    // A file is at most 1.5 times the mean size.
+                    if fits(dataset.mean_file_mb, 2 * dataset.n_files).is_none() {
+                        problems.push(format!(
+                            "workload {}: n_files × mean_file_mb overflows a byte count",
+                            w.name
+                        ));
+                    }
+                    // Lumi sections are numbered from 1 in a `u32`
+                    // across the dataset, and the counter ends one past
+                    // the last.
+                    let lumis = dataset.n_files * u64::from(dataset.lumis_per_file);
+                    if lumis >= u64::from(u32::MAX) {
+                        problems.push(format!(
+                            "workload {}: {lumis} lumi sections do not fit a u32 lumi number",
+                            w.name
+                        ));
+                    }
+                    lumis.div_ceil(u64::from(LUMIS_PER_TASKLET))
+                }
+            };
+            if tasklets > MAX_TASKLETS {
+                problems.push(format!(
+                    "workload {}: {tasklets} tasklets is over the limit of {MAX_TASKLETS}",
+                    w.name
+                ));
+            }
+        }
     }
 }

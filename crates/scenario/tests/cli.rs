@@ -6,6 +6,7 @@
 use lobster::driver::ClusterSim;
 use lobster::ops::snapshot_from_run;
 use lobster::Session;
+use scenario::spec::WorkloadKindSpec;
 use scenario::{compile, Compiled, Scenario};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -108,6 +109,31 @@ fn bad_scenario_files_exit_1_with_a_message() {
             "group_commit_records of 0",
         ),
         (library("multitenant_contention").into(), "tenants"),
+        // Numbers whose conversion overflows: a debug build used to
+        // panic on these, a release build to wrap.
+        (
+            invalid(&dir, "horizon-huge", |sc| sc.horizon_hours = 1 << 62),
+            "horizon_hours of 4611686018427387904 overflows the clock",
+        ),
+        (
+            invalid(&dir, "tick-huge", |sc| sc.pool.tick_mins = 1 << 62),
+            "pool.tick_mins of 4611686018427387904 minutes overflows the clock",
+        ),
+        (
+            invalid(&dir, "output-huge", |sc| {
+                sc.workloads[0].output_mb_per_tasklet = 1 << 62;
+            }),
+            "output_mb_per_tasklet × tasklets_per_task overflows a byte count",
+        ),
+        (
+            invalid(&dir, "tasklets-huge", |sc| {
+                sc.workloads[0].kind = WorkloadKindSpec::Simulation {
+                    tasklets: 1 << 62,
+                    pileup_mb_per_tasklet: 40,
+                };
+            }),
+            "4611686018427387904 tasklets is over the limit of 100000000",
+        ),
     ];
     for (path, message) in &cases {
         for cmd in ["simulate", "validate"] {

@@ -89,6 +89,22 @@ impl SimDuration {
         SimDuration(h * 3600 * MICROS_PER_SEC)
     }
 
+    /// [`SimDuration::from_mins`], or `None` when `m` minutes do not fit.
+    pub const fn checked_from_mins(m: u64) -> Option<Self> {
+        match m.checked_mul(60 * MICROS_PER_SEC) {
+            Some(us) => Some(SimDuration(us)),
+            None => None,
+        }
+    }
+
+    /// [`SimDuration::from_hours`], or `None` when `h` hours do not fit.
+    pub const fn checked_from_hours(h: u64) -> Option<Self> {
+        match h.checked_mul(3600 * MICROS_PER_SEC) {
+            Some(us) => Some(SimDuration(us)),
+            None => None,
+        }
+    }
+
     /// Construct from fractional seconds; negative values clamp to zero.
     pub fn from_secs_f64(s: f64) -> Self {
         if !s.is_finite() || s <= 0.0 {
@@ -261,6 +277,22 @@ mod tests {
         assert_eq!(SimDuration::from_mins(3).as_secs_f64(), 180.0);
         assert_eq!(SimDuration::from_hours(2).as_mins_f64(), 120.0);
         assert_eq!(SimDuration::from_millis(1500).as_secs_f64(), 1.5);
+    }
+
+    #[test]
+    fn checked_construction_refuses_overflow() {
+        let max_mins = u64::MAX / (60 * MICROS_PER_SEC);
+        let max_hours = u64::MAX / (3600 * MICROS_PER_SEC);
+        assert_eq!(
+            SimDuration::checked_from_mins(max_mins),
+            Some(SimDuration::from_mins(max_mins))
+        );
+        assert_eq!(
+            SimDuration::checked_from_hours(max_hours),
+            Some(SimDuration::from_hours(max_hours))
+        );
+        assert_eq!(SimDuration::checked_from_mins(max_mins + 1), None);
+        assert_eq!(SimDuration::checked_from_hours(max_hours + 1), None);
     }
 
     #[test]

@@ -658,7 +658,7 @@ impl MultiTenant {
     /// then harvest per-tenant reports, fairness and the federated
     /// snapshot.
     ///
-    /// A round whose predecessor delivered at least [`FANOUT_EVENTS`]
+    /// A round whose predecessor delivered at least `FANOUT_EVENTS`
     /// engine events steps its sessions on `min(cores, tenants)` workers:
     /// threads spawned once, at the first such round, and kept for the
     /// rest of the run. Everything else — the coordinator phase,

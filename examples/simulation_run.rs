@@ -81,7 +81,6 @@ fn main() {
     let squid_failures = report
         .timeline
         .failure_events()
-        .iter()
         .filter(|(_, c)| *c == FailureCode::EnvSetup)
         .count();
     println!("peak concurrency    {:.0}", report.peak_concurrency);

@@ -142,6 +142,84 @@ fn chaos_scenarios_are_reproducible() {
     );
 }
 
+/// A value no conversion to microseconds or bytes survives.
+const HUGE: u64 = 1 << 62;
+
+/// An edit that puts one number of a valid scenario out of range.
+type Edit = fn(&mut Scenario);
+
+/// Edit the dataset of workload 0, a data-processing workload.
+fn edit_dataset(sc: &mut Scenario, edit: fn(&mut scenario::spec::DatasetSpec)) {
+    match &mut sc.workloads[0].kind {
+        scenario::spec::WorkloadKindSpec::DataProcessing { dataset } => edit(dataset),
+        scenario::spec::WorkloadKindSpec::Simulation { .. } => {
+            panic!("chaos workloads process data")
+        }
+    }
+}
+
+/// Every number `compile` converts or decomposition allocates for is
+/// bounded by `validate`: out of range is one typed `Invalid` message,
+/// never an overflow panic (or a silent wrap in release).
+#[test]
+fn validation_bounds_every_converted_number() {
+    use scenario::spec::{WindowSpec, MAX_FILES};
+    let base = chaos_scenario(7);
+    let cases: [(Edit, &str); 8] = [
+        (|sc| sc.horizon_hours = HUGE, "horizon_hours of"),
+        (
+            |sc| sc.retry.execute_deadline_mins = Some(HUGE),
+            "retry.execute_deadline_mins of",
+        ),
+        (
+            |sc| sc.retry.requeue_max_mins = HUGE,
+            "retry.requeue_max_mins of",
+        ),
+        (
+            |sc| {
+                sc.wan_outages = vec![WindowSpec {
+                    start_mins: 10,
+                    end_mins: HUGE,
+                    capacity_factor: 0.0,
+                    failure_prob: 0.0,
+                }]
+            },
+            "window end_mins of",
+        ),
+        (|sc| sc.merge_target_mb = HUGE, "merge_target_mb overflows"),
+        (
+            |sc| edit_dataset(sc, |d| d.n_files = MAX_FILES + 1),
+            "files is over the limit",
+        ),
+        (
+            |sc| edit_dataset(sc, |d| d.mean_file_mb = HUGE),
+            "n_files × mean_file_mb overflows",
+        ),
+        (
+            |sc| edit_dataset(sc, |d| d.lumis_per_file = u32::MAX),
+            "do not fit a u32 lumi number",
+        ),
+    ];
+    for (edit, message) in cases {
+        let mut sc = base.clone();
+        edit(&mut sc);
+        match sc.validate() {
+            Err(ScenarioError::Invalid(p)) => {
+                let p = p.join("; ");
+                assert!(p.contains(message), "{message:?} not in {p:?}");
+            }
+            other => panic!("{message:?}: expected Invalid, got {other:?}"),
+        }
+    }
+
+    // The largest values that convert are accepted.
+    let mut sc = base.clone();
+    sc.horizon_hours = u64::MAX / 3_600_000_000;
+    sc.retry.execute_deadline_mins = Some(u64::MAX / 60_000_000);
+    sc.validate()
+        .expect("the largest convertible values are valid");
+}
+
 /// Validation rejects the failure modes the typed errors exist for.
 #[test]
 fn validation_rejects_bad_scenarios() {
