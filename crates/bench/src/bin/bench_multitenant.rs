@@ -13,12 +13,20 @@
 //!   falls below 0.9 fails the run (exit 1).
 //! * **Throughput** — if the committed baseline is present, any point
 //!   whose aggregate events/sec regresses by more than 20% fails.
+//! * **Heap** — any point whose peak live heap (`peak_alloc_bytes`, from
+//!   a counting global allocator) is above the baseline's fails, exactly,
+//!   as in `bench_scale`. The peak is read from one more run of the point
+//!   stepped on the calling thread alone: a fanned-out run's peak moves
+//!   by a few hundred bytes with how the threads' allocations interleave,
+//!   while a single-threaded one depends on the code and the seed only. A
+//!   baseline point without the field is not gated.
 
 use batchsim::arbiter::ArbiterConfig;
 use batchsim::pool::PoolConfig;
 use lobster::config::{LobsterConfig, WorkflowConfig};
 use lobster::driver::SimParams;
 use lobster::workflow::Workflow;
+use lobster_bench::alloc::{self, CountingAlloc};
 use lobster_bench::write_fresh_results;
 use serde::Serialize;
 use simkit::time::SimDuration;
@@ -37,6 +45,9 @@ const JAIN_FLOOR: f64 = 0.9;
 /// baseline events/sec.
 const MAX_REGRESSION: f64 = 0.20;
 
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
 #[derive(Serialize)]
 struct SweepPoint {
     tenants: usize,
@@ -47,6 +58,7 @@ struct SweepPoint {
     events: u64,
     wall_secs: f64,
     events_per_sec: f64,
+    peak_alloc_bytes: u64,
 }
 
 #[derive(Serialize)]
@@ -93,9 +105,17 @@ fn tenant(i: usize) -> TenantSpec {
     }
 }
 
-/// Baseline events/sec per tenant count from a committed
-/// BENCH_multitenant.json, if one exists and parses.
-fn read_baseline(path: &str) -> Vec<(usize, f64)> {
+/// One sweep point of a committed BENCH_multitenant.json.
+struct Baseline {
+    tenants: usize,
+    events_per_sec: f64,
+    /// Absent in a baseline recorded before the heap gate.
+    peak_alloc_bytes: Option<u64>,
+}
+
+/// The sweep points of a committed BENCH_multitenant.json, if one exists
+/// and parses.
+fn read_baseline(path: &str) -> Vec<Baseline> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -129,7 +149,13 @@ fn read_baseline(path: &str) -> Vec<(usize, f64)> {
             Value::get_field(fields, "tenants").and_then(&num),
             Value::get_field(fields, "events_per_sec").and_then(&num),
         ) {
-            out.push((tenants as usize, eps));
+            out.push(Baseline {
+                tenants: tenants as usize,
+                events_per_sec: eps,
+                peak_alloc_bytes: Value::get_field(fields, "peak_alloc_bytes")
+                    .and_then(&num)
+                    .map(|p| p as u64),
+            });
         }
     }
     out
@@ -154,6 +180,11 @@ fn main() {
             }
         }
         let report = report.expect("REPEATS >= 1");
+        alloc::reset_peak();
+        let roster: Vec<TenantSpec> = (0..n).map(tenant).collect();
+        let single = MultiTenant::new(coordinator(), roster).expect("valid roster");
+        drop(single.single_threaded().run().expect("in-memory run"));
+        let peak_alloc_bytes = alloc::peak();
 
         for t in &report.tenants {
             if t.report.finished_at.is_none() {
@@ -183,11 +214,13 @@ fn main() {
             events,
             wall_secs,
             events_per_sec: events as f64 / wall_secs,
+            peak_alloc_bytes,
         };
         eprintln!(
-            "[{n:>3} tenants] {:>8} events in {wall_secs:>7.3}s  ({:>9.0} ev/s, jain {:.4}, {} rounds, {} fanned out)",
+            "[{n:>3} tenants] {:>8} events in {wall_secs:>7.3}s  ({:>9.0} ev/s, peak alloc {:.2} MiB, jain {:.4}, {} rounds, {} fanned out)",
             point.events,
             point.events_per_sec,
+            peak_alloc_bytes as f64 / (1024.0 * 1024.0),
             point.jain_fairness,
             point.rounds,
             report.fanned_out_rounds,
@@ -220,10 +253,20 @@ fn main() {
     }
 
     // Regression gate: compare against the committed baseline.
-    for (tenants, old_eps) in &baseline {
-        let Some(new) = result.points.iter().find(|p| p.tenants == *tenants) else {
+    for old in &baseline {
+        let Some(new) = result.points.iter().find(|p| p.tenants == old.tenants) else {
             continue;
         };
+        let (tenants, old_eps) = (old.tenants, old.events_per_sec);
+        if let Some(old_peak) = old.peak_alloc_bytes {
+            if new.peak_alloc_bytes > old_peak {
+                eprintln!(
+                    "bench_multitenant: REGRESSION at {tenants} tenants: peak heap {} B > baseline {old_peak} B",
+                    new.peak_alloc_bytes
+                );
+                failed = true;
+            }
+        }
         let floor = old_eps * (1.0 - MAX_REGRESSION);
         if new.events_per_sec < floor {
             eprintln!(

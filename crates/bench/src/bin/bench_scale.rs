@@ -17,10 +17,6 @@
 //! baseline is never rewritten by a run (see
 //! [`lobster_bench::write_fresh_results`]).
 
-// The counting allocator below must implement `GlobalAlloc`, which is an
-// unsafe trait; the workspace otherwise denies unsafe code.
-#![allow(unsafe_code)]
-
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
 use lobster::config::{Backoff, LobsterConfig, WorkflowConfig};
@@ -28,12 +24,11 @@ use lobster::driver::{ClusterSim, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
+use lobster_bench::alloc::{self, CountingAlloc};
 use lobster_bench::write_fresh_results;
 use serde::Serialize;
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageSchedule};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const SEED: u64 = 2025;
 const TASKLETS_PER_CORE: u64 = 50;
@@ -42,41 +37,8 @@ const SWEEP_CORES: [u32; 4] = [2_500, 5_000, 10_000, 20_000];
 /// baseline events/sec.
 const MAX_REGRESSION: f64 = 0.20;
 
-/// Allocation-counting wrapper around the system allocator: `current`
-/// tracks live bytes, `peak` the high-water mark. The peak is the
-/// benchmark's RSS proxy — it moves with the same data structures
-/// (event queue, worker table, task ledger) that drive resident memory,
-/// without depending on the platform's RSS accounting.
-struct CountingAlloc;
-
-static CURRENT: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let now =
-                CURRENT.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-            PEAK.fetch_max(now, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        CURRENT.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Reset the high-water mark to the current live size (call between
-/// sweep points so each point reports its own peak).
-fn reset_peak() {
-    PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-}
 
 #[derive(Serialize)]
 struct SweepPoint {
@@ -223,11 +185,11 @@ fn main() {
         let (cfg, params, wfs) = setup(cores);
         let workers = cfg.workers.target_cores / cfg.workers.cores_per_worker;
         let tasklets: u64 = wfs.iter().map(|w| w.n_tasklets()).sum();
-        reset_peak();
+        alloc::reset_peak();
         let started = std::time::Instant::now();
         let report = ClusterSim::run(cfg, params, wfs);
         let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        let peak_alloc_bytes = PEAK.load(Ordering::Relaxed);
+        let peak_alloc_bytes = alloc::peak();
 
         if report.finished_at.is_none() {
             eprintln!("bench_scale: {cores}-core sweep point did not finish: {report:?}");

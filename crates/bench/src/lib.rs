@@ -4,6 +4,7 @@
 //! the `paper` binary prints them. The `bench_*` binaries are the gated
 //! benches that `ci.sh` runs.
 
+pub mod alloc;
 pub mod paper;
 
 use std::path::{Path, PathBuf};

@@ -426,6 +426,15 @@ impl MultiTenant {
         })
     }
 
+    /// Step every round on the calling thread, spawning none. The output
+    /// is the same as a fanned-out run's; the process's heap high-water
+    /// mark then depends on the run alone, not on how worker threads'
+    /// allocations interleave, so a gate on peak heap can be exact.
+    pub fn single_threaded(mut self) -> Self {
+        self.workers = Some(1);
+        self
+    }
+
     /// Test seam: step on exactly `workers` workers (the calling thread
     /// included) and fan out a round once the previous one delivered
     /// `fanout_events` events.
