@@ -104,8 +104,10 @@ step cargo run -q --release -p lobster-bench --bin bench_recovery
 
 # Multi-tenant sweep (1 -> 100 masters over one shared pool). Writes
 # target/bench/BENCH_multitenant.json; fails if any contended point's
-# Jain fairness drops below 0.9 or any point loses more than 20% of the
-# committed BENCH_multitenant.json's events/sec.
+# Jain fairness drops below 0.9, any point loses more than 20% of the
+# committed BENCH_multitenant.json's events/sec, or any point peaks
+# above its committed peak heap (exact: read from a single-threaded run
+# of the point, which depends only on seed, code and toolchain).
 step cargo run -q --release -p lobster-bench --bin bench_multitenant
 
 # Crash-consistency matrix in release: boundary, in-commit-window,

@@ -14,12 +14,15 @@
 //! * **Throughput** — if the committed baseline is present, any point
 //!   whose aggregate events/sec regresses by more than 20% fails.
 //! * **Heap** — any point whose peak live heap (`peak_alloc_bytes`, from
-//!   a counting global allocator) is above the baseline's fails, exactly,
-//!   as in `bench_scale`. The peak is read from one more run of the point
+//!   a counting global allocator: the most the run allocated and still
+//!   held at once) is above the baseline's fails, exactly, as in
+//!   `bench_scale`. The peak is read from one more run of the point
 //!   stepped on the calling thread alone: a fanned-out run's peak moves
 //!   by a few hundred bytes with how the threads' allocations interleave,
-//!   while a single-threaded one depends on the code and the seed only. A
-//!   baseline point without the field is not gated.
+//!   while a single-threaded one depends on the code and the seed only.
+//!   The timed repeats run with counting off, because two threads
+//!   updating the shared counters on every allocation slowed the
+//!   fanned-out points.
 
 use batchsim::arbiter::ArbiterConfig;
 use batchsim::pool::PoolConfig;
@@ -109,8 +112,7 @@ fn tenant(i: usize) -> TenantSpec {
 struct Baseline {
     tenants: usize,
     events_per_sec: f64,
-    /// Absent in a baseline recorded before the heap gate.
-    peak_alloc_bytes: Option<u64>,
+    peak_alloc_bytes: u64,
 }
 
 /// The sweep points of a committed BENCH_multitenant.json, if one exists
@@ -145,16 +147,15 @@ fn read_baseline(path: &str) -> Vec<Baseline> {
         let Some(fields) = p.as_object() else {
             continue;
         };
-        if let (Some(tenants), Some(eps)) = (
+        if let (Some(tenants), Some(eps), Some(peak)) = (
             Value::get_field(fields, "tenants").and_then(&num),
             Value::get_field(fields, "events_per_sec").and_then(&num),
+            Value::get_field(fields, "peak_alloc_bytes").and_then(&num),
         ) {
             out.push(Baseline {
                 tenants: tenants as usize,
                 events_per_sec: eps,
-                peak_alloc_bytes: Value::get_field(fields, "peak_alloc_bytes")
-                    .and_then(&num)
-                    .map(|p| p as u64),
+                peak_alloc_bytes: peak as u64,
             });
         }
     }
@@ -162,6 +163,7 @@ fn read_baseline(path: &str) -> Vec<Baseline> {
 }
 
 fn main() {
+    alloc::set_counting(false);
     let baseline = read_baseline("BENCH_multitenant.json");
 
     let mut points = Vec::new();
@@ -180,11 +182,14 @@ fn main() {
             }
         }
         let report = report.expect("REPEATS >= 1");
+        alloc::set_counting(true);
         alloc::reset_peak();
+        let before = alloc::current();
         let roster: Vec<TenantSpec> = (0..n).map(tenant).collect();
         let single = MultiTenant::new(coordinator(), roster).expect("valid roster");
         drop(single.single_threaded().run().expect("in-memory run"));
-        let peak_alloc_bytes = alloc::peak();
+        let peak_alloc_bytes = alloc::peak() - before;
+        alloc::set_counting(false);
 
         for t in &report.tenants {
             if t.report.finished_at.is_none() {
@@ -258,14 +263,12 @@ fn main() {
             continue;
         };
         let (tenants, old_eps) = (old.tenants, old.events_per_sec);
-        if let Some(old_peak) = old.peak_alloc_bytes {
-            if new.peak_alloc_bytes > old_peak {
-                eprintln!(
-                    "bench_multitenant: REGRESSION at {tenants} tenants: peak heap {} B > baseline {old_peak} B",
-                    new.peak_alloc_bytes
-                );
-                failed = true;
-            }
+        if new.peak_alloc_bytes > old.peak_alloc_bytes {
+            eprintln!(
+                "bench_multitenant: REGRESSION at {tenants} tenants: peak heap {} B > baseline {} B",
+                new.peak_alloc_bytes, old.peak_alloc_bytes
+            );
+            failed = true;
         }
         let floor = old_eps * (1.0 - MAX_REGRESSION);
         if new.events_per_sec < floor {
