@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::Path;
 use wqueue::sim::{DispatchBuffer, WorkerTable};
-use wqueue::task::{Category, DeadLetter, FailureCode, TaskId};
+use wqueue::task::{Category, DeadLetter, FailureCode, TaskId, TaskTimes};
 
 /// Merge-task CPU per GB of merged data.
 const MERGE_CPU_PER_GB: SimDuration = SimDuration::from_mins(1);
@@ -169,9 +169,25 @@ pub enum Ev {
     Requeue(TaskId),
 }
 
+/// A task waiting for dispatch: buffered, merge-queued, or backing off
+/// before a retry. Only what dispatch needs to start it; the in-flight
+/// [`TaskInfo`] is built when a slot is claimed.
+#[derive(Copy, Clone, Debug)]
+struct Ready {
+    wf: usize,
+    category: Category,
+    input_bytes: u64,
+    output_bytes: u64,
+    /// Drawn from the rng when the task is created, not at dispatch.
+    cpu: SimDuration,
+    enqueued_at: SimTime,
+    /// Dispatches behind it.
+    attempt: u32,
+}
+
+/// The phase of a dispatched task.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Phase {
-    Queued,
     Sandbox,
     EnvSetup,
     /// Staged input transfer in flight (blocks execution).
@@ -181,6 +197,10 @@ enum Phase {
     Collect,
 }
 
+/// A dispatched task: its attempt, where it runs, the flows and watchdog
+/// it holds, and the wrapper's timing record so far. The attempt's
+/// [`SegmentReport`] is built from these fields when it ends, so the
+/// record does not carry one in flight.
 struct TaskInfo {
     wf: usize,
     category: Category,
@@ -188,49 +208,78 @@ struct TaskInfo {
     output_bytes: u64,
     cpu: SimDuration,
     phase: Phase,
-    worker: Option<u64>,
-    builder: Option<ReportBuilder>,
-    enqueued_at: SimTime,
+    worker: u64,
+    /// Dispatches so far, this one included.
+    attempt: u32,
+    dispatched_at: SimTime,
     phase_started: SimTime,
+    times: TaskTimes,
     env_flow: Option<(usize, FlowId)>,
     data_flow: Option<FlowId>,
-    attempt: u32,
     /// Armed segment watchdog: (sequence, guarded segment, deadline event).
     watchdog: Option<(u64, Segment, EventId)>,
 }
 
+// Pinned: 48 bytes per queued task, 192 per dispatched one (an in-flight
+// record that carried a report builder and the ready fields took 248).
+#[cfg(target_pointer_width = "64")]
+const _: () = {
+    assert!(std::mem::size_of::<Ready>() == 48);
+    assert!(std::mem::size_of::<TaskInfo>() == 192);
+};
+
 impl TaskInfo {
-    /// A task waiting for dispatch since `at`, with `attempt` dispatches
-    /// behind it. A merge task's inputs stay in the db's open group.
-    fn queued(
-        wf: usize,
-        category: Category,
-        input_bytes: u64,
-        output_bytes: u64,
-        cpu: SimDuration,
-        at: SimTime,
-        attempt: u32,
-    ) -> Self {
+    /// Start `r`'s next attempt on `worker` at `now`, its sandbox transfer
+    /// done after `wq_stage_in`.
+    fn dispatch(r: Ready, worker: u64, now: SimTime, wq_stage_in: SimDuration) -> Self {
+        let times = TaskTimes {
+            queued: now - r.enqueued_at,
+            wq_stage_in,
+            ..TaskTimes::default()
+        };
         TaskInfo {
-            wf,
-            category,
-            input_bytes,
-            output_bytes,
-            cpu,
-            phase: Phase::Queued,
-            worker: None,
-            builder: None,
-            enqueued_at: at,
-            phase_started: at,
+            wf: r.wf,
+            category: r.category,
+            input_bytes: r.input_bytes,
+            output_bytes: r.output_bytes,
+            cpu: r.cpu,
+            phase: Phase::Sandbox,
+            worker,
+            attempt: r.attempt + 1,
+            dispatched_at: now,
+            phase_started: now,
+            times,
             env_flow: None,
             data_flow: None,
-            attempt,
             watchdog: None,
         }
     }
+
+    /// The task back in the ready phase, enqueued at `at`, keeping its
+    /// CPU draw and its attempt count.
+    fn ready(&self, at: SimTime) -> Ready {
+        Ready {
+            wf: self.wf,
+            category: self.category,
+            input_bytes: self.input_bytes,
+            output_bytes: self.output_bytes,
+            cpu: self.cpu,
+            enqueued_at: at,
+            attempt: self.attempt,
+        }
+    }
+
+    /// The wrapper's report of this attempt so far, for the caller to
+    /// end as the attempt ended.
+    fn report(&self, id: TaskId) -> ReportBuilder {
+        let attempt = self.attempt - 1;
+        let mut b = ReportBuilder::new(id, self.category, attempt, self.worker, self.dispatched_at);
+        *b.times_mut() = self.times;
+        b
+    }
 }
 
-/// In-flight task ledger. Analysis ids are handed out densely from 0,
+/// Dispatched-task ledger. Analysis ids are handed out densely from 0,
 /// so they index a direct paged slab; merge ids (>=
 /// [`crate::db::MERGE_ID_BASE`]) are sparse and few at a time, so they
 /// stay in an ordered map. Rows are boxed so a vacant slot costs one
@@ -353,11 +402,16 @@ pub struct ClusterSim {
     rng: SimRng,
     pub(crate) db: LobsterDb,
     workflows: Vec<Workflow>,
+    /// Dispatched tasks.
     tasks: TaskTable,
-    buffer: DispatchBuffer,
-    /// Merge tasks awaiting dispatch (kept out of the analysis buffer so
-    /// bookkeeping stays by category).
-    merge_queue: VecDeque<TaskId>,
+    /// Analysis tasks awaiting dispatch, in order.
+    buffer: DispatchBuffer<(TaskId, Ready)>,
+    /// Merge tasks awaiting dispatch, in order (kept out of the analysis
+    /// buffer so bookkeeping stays by category).
+    merge_queue: VecDeque<(TaskId, Ready)>,
+    /// Failed tasks backing off before they re-enter a queue, woken by
+    /// [`Ev::Requeue`].
+    backoff: BTreeMap<TaskId, Ready>,
     table: WorkerTable,
     factory: WorkerFactory,
     pool: OpportunisticPool,
@@ -580,6 +634,7 @@ impl ClusterSim {
             tasks: TaskTable::new(),
             buffer: DispatchBuffer::new(),
             merge_queue: VecDeque::new(),
+            backoff: BTreeMap::new(),
             table: WorkerTable::new(),
             factory,
             pool,
@@ -659,10 +714,10 @@ impl ClusterSim {
         }
     }
 
-    /// Rebuild the in-memory [`TaskInfo`] for a recovered analysis task
-    /// and return it to the dispatch buffer. The CPU draw is re-sampled
-    /// from the restarted rng stream (attempt timing is not journaled),
-    /// which perturbs timing but not coverage.
+    /// Rebuild the ready entry for a recovered analysis task and return
+    /// it to the dispatch buffer. The CPU draw is re-sampled from the
+    /// restarted rng stream (attempt timing is not journaled), which
+    /// perturbs timing but not coverage.
     fn restore_analysis_task(&mut self, id: TaskId) {
         let Some(wf_idx) = self
             .db
@@ -860,10 +915,16 @@ impl ClusterSim {
         let n = self.db.task_tasklet_count(id).unwrap_or(0) as u32;
         let wf = &self.workflows[wf_idx];
         let cpu = wf.sample_task_cpu(n, &mut self.rng);
-        let (input, output) = (wf.task_input_bytes(n), wf.task_output_bytes(n));
-        let t = TaskInfo::queued(wf_idx, Category::Analysis, input, output, cpu, at, attempt);
-        self.tasks.insert(id, t);
-        self.buffer.push(id);
+        let ready = Ready {
+            wf: wf_idx,
+            category: Category::Analysis,
+            input_bytes: wf.task_input_bytes(n),
+            output_bytes: wf.task_output_bytes(n),
+            cpu,
+            enqueued_at: at,
+            attempt,
+        };
+        self.buffer.push((id, ready));
     }
 
     fn create_merge_task(&mut self, now: SimTime, group: &MergeGroup) {
@@ -877,10 +938,16 @@ impl ClusterSim {
 
     /// Queue merge task `id` (a journaled group of `bytes`) for dispatch.
     fn queue_merge_task(&mut self, id: TaskId, bytes: u64, at: SimTime) {
-        let cpu = MERGE_CPU_PER_GB.mul_f64(bytes as f64 / 1e9);
-        let t = TaskInfo::queued(0, Category::Merge, bytes, bytes, cpu, at, 0);
-        self.tasks.insert(id, t);
-        self.merge_queue.push_back(id);
+        let ready = Ready {
+            wf: 0,
+            category: Category::Merge,
+            input_bytes: bytes,
+            output_bytes: bytes,
+            cpu: MERGE_CPU_PER_GB.mul_f64(bytes as f64 / 1e9),
+            enqueued_at: at,
+            attempt: 0,
+        };
+        self.merge_queue.push_back((id, ready));
     }
 
     // ----- dispatch --------------------------------------------------------
@@ -910,38 +977,20 @@ impl ClusterSim {
         // into one batched event (payload buffers recycled per round).
         let mut batch: Vec<(TaskId, u32)> = self.batch_pool.pop().unwrap_or_default();
         let mut batch_done = SimTime::ZERO;
-        loop {
-            // Merge tasks first (they unblock publication), then analysis.
-            let (id, from_merge) = if let Some(&id) = self.merge_queue.front() {
-                (id, true)
-            } else if let Some(id) = self.buffer.pop() {
-                (id, false)
-            } else {
-                break;
-            };
+        while !(self.merge_queue.is_empty() && self.buffer.is_empty()) {
             let Some(worker) = self.table.claim_slot() else {
-                if !from_merge {
-                    self.buffer.push_front(id);
-                }
                 break;
             };
-            if from_merge {
-                self.merge_queue.pop_front();
-            }
+            // Merge tasks first (they unblock publication), then analysis.
+            let next = self.merge_queue.pop_front().or_else(|| self.buffer.pop());
+            // simlint::allow(no-panic-in-lib): the loop runs only while a queue holds a task
+            let (id, ready) = next.expect("a task is queued");
             let foreman = self.table.get(worker).expect("claimed").foreman;
             let grant = self.foremen[foreman].offer(now, self.params.sandbox_service);
-            let t = self.tasks.get_mut(id).expect("queued task");
-            t.phase = Phase::Sandbox;
-            t.worker = Some(worker);
-            t.attempt += 1;
-            t.phase_started = now;
+            let t = TaskInfo::dispatch(ready, worker, now, grant.done - now);
             let attempt = t.attempt;
-            let mut builder = ReportBuilder::new(id, t.category, t.attempt - 1, worker, now);
-            builder.times_mut().queued = now - t.enqueued_at;
-            builder.times_mut().wq_stage_in = grant.done - now;
-            t.builder = Some(builder);
-            let category = t.category;
-            if category == Category::Analysis {
+            self.tasks.insert(id, t);
+            if ready.category == Category::Analysis {
                 if let Err(e) = self.db.mark_running(id) {
                     debug_assert!(false, "dispatched a task the db rejects: {e}");
                 }
@@ -978,8 +1027,7 @@ impl ClusterSim {
             }
             t.phase = Phase::EnvSetup;
             t.phase_started = now;
-            let Some(w) = t.worker else { return };
-            w
+            t.worker
         };
         self.arm_watchdog(id, Segment::EnvInit, None, ctx);
         let hot = self.table.get(worker).map(|w| w.cache_hot).unwrap_or(false);
@@ -1177,12 +1225,10 @@ impl ClusterSim {
                     let Some(t) = self.tasks.get_mut(id) else {
                         continue;
                     };
-                    if t.phase != Phase::EnvSetup || t.worker != Some(worker) {
+                    if t.phase != Phase::EnvSetup || t.worker != worker {
                         continue;
                     }
-                    if let Some(b) = t.builder.as_mut() {
-                        b.times_mut().env_setup = now - t.phase_started;
-                    }
+                    t.times.env_setup = now - t.phase_started;
                     self.begin_data_phase(id, ctx);
                 }
                 continue;
@@ -1197,12 +1243,8 @@ impl ClusterSim {
                 continue;
             }
             t.env_flow = None;
-            if let Some(w) = t.worker {
-                self.env_fail_streak.remove(&w);
-            }
-            if let Some(b) = t.builder.as_mut() {
-                b.times_mut().env_setup = now - t.phase_started;
-            }
+            t.times.env_setup = now - t.phase_started;
+            self.env_fail_streak.remove(&t.worker);
             self.begin_data_phase(id, ctx);
         }
         self.scratch_flows = done;
@@ -1230,9 +1272,7 @@ impl ClusterSim {
             && category != Category::Merge;
         if input == 0 {
             // Pure generation: straight to execution.
-            if let Some(b) = t.builder.as_mut() {
-                b.times_mut().cpu = cpu;
-            }
+            t.times.cpu = cpu;
             ctx.schedule(cpu, Ev::ExecDone(id, attempt));
             self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
         } else if kind == WorkloadKind::Simulation || category == Category::Merge {
@@ -1246,9 +1286,7 @@ impl ClusterSim {
                         return;
                     };
                     t.phase = Phase::Data;
-                    if let Some(b) = t.builder.as_mut() {
-                        b.times_mut().stage_in = grant.done - now;
-                    }
+                    t.times.stage_in = grant.done - now;
                     ctx.schedule_at(grant.done, Ev::DataStaged(id, attempt));
                     self.arm_watchdog(id, Segment::StageIn, Some(grant.done), ctx);
                 }
@@ -1278,9 +1316,7 @@ impl ClusterSim {
                 let Some(t) = self.tasks.get_mut(id) else {
                     return;
                 };
-                if let Some(b) = t.builder.as_mut() {
-                    b.times_mut().cpu = cpu;
-                }
+                t.times.cpu = cpu;
                 ctx.schedule(cpu, Ev::ExecDone(id, attempt));
                 self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
             } else if streaming {
@@ -1292,10 +1328,8 @@ impl ClusterSim {
                             return;
                         };
                         t.data_flow = Some(flow);
-                        if let Some(b) = t.builder.as_mut() {
-                            b.times_mut().stage_in = AccessTiming::STREAM_OPEN;
-                            b.times_mut().cpu = cpu;
-                        }
+                        t.times.stage_in = AccessTiming::STREAM_OPEN;
+                        t.times.cpu = cpu;
                         self.reschedule_fed(ctx);
                         // The stage-in watchdog covers the whole stream: a
                         // blackout that freezes the WAN mid-transfer would
@@ -1338,9 +1372,7 @@ impl ClusterSim {
         t.phase = Phase::Exec;
         t.phase_started = now;
         let cpu = t.cpu;
-        if let Some(b) = t.builder.as_mut() {
-            b.times_mut().cpu = cpu;
-        }
+        t.times.cpu = cpu;
         ctx.schedule(cpu, Ev::ExecDone(id, attempt));
         self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
     }
@@ -1376,9 +1408,7 @@ impl ClusterSim {
                     // task ends when both stream and CPU are done.
                     let cpu_end = t.phase_started + t.cpu;
                     let end = cpu_end.max(now);
-                    if let Some(b) = t.builder.as_mut() {
-                        b.times_mut().io_wait = now.since(cpu_end);
-                    }
+                    t.times.io_wait = now.since(cpu_end);
                     let (attempt, started) = (t.attempt, t.phase_started);
                     ctx.schedule_at(end, Ev::ExecDone(id, attempt));
                     // The stream survived its watchdog; hand over to the
@@ -1393,10 +1423,8 @@ impl ClusterSim {
                     let stage_in = now - t.phase_started;
                     t.phase = Phase::Exec;
                     t.phase_started = now;
-                    if let Some(b) = t.builder.as_mut() {
-                        b.times_mut().stage_in = AccessTiming::STAGE_SETUP + stage_in;
-                        b.times_mut().cpu = t.cpu;
-                    }
+                    t.times.stage_in = AccessTiming::STAGE_SETUP + stage_in;
+                    t.times.cpu = t.cpu;
                     let (attempt, cpu) = (t.attempt, t.cpu);
                     ctx.schedule_at(now + cpu, Ev::ExecDone(id, attempt));
                     self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
@@ -1426,9 +1454,7 @@ impl ClusterSim {
                 let Some(t) = self.tasks.get_mut(id) else {
                     return;
                 };
-                if let Some(b) = t.builder.as_mut() {
-                    b.times_mut().stage_out = grant.done - now;
-                }
+                t.times.stage_out = grant.done - now;
                 ctx.schedule_at(grant.done, Ev::StageOutDone(id, attempt));
                 self.arm_watchdog(id, Segment::StageOut, Some(grant.done), ctx);
             }
@@ -1445,9 +1471,7 @@ impl ClusterSim {
                 return;
             }
             t.phase = Phase::Collect;
-            if let Some(b) = t.builder.as_mut() {
-                b.times_mut().wq_stage_out = self.params.wq_collect;
-            }
+            t.times.wq_stage_out = self.params.wq_collect;
         }
         ctx.schedule(self.params.wq_collect, Ev::CollectDone(id, attempt));
         self.disarm_watchdog(id, ctx);
@@ -1465,11 +1489,8 @@ impl ClusterSim {
         if let Some((_, _, ev)) = t.watchdog.take() {
             ctx.cancel(ev);
         }
-        let worker = t.worker.expect("running");
-        let Some(report) = t.builder.take().map(|b| b.succeed(now, t.output_bytes)) else {
-            return;
-        };
-        self.release_task_slot(worker, id);
+        let report = t.report(id).succeed(now, t.output_bytes);
+        self.release_task_slot(t.worker, id);
         self.ingest(&report, t.wf);
         if t.category == Category::Merge {
             let inputs = self.db.merge_group(id).unwrap_or_default();
@@ -1585,7 +1606,7 @@ impl ClusterSim {
         if let Some((_, _, ev)) = t.watchdog.take() {
             ctx.cancel(ev);
         }
-        let Some(worker) = t.worker else { return };
+        let worker = t.worker;
         // A task waiting on a shared alien-cache fill holds no flow of
         // its own; drop it from the fill's waiter list (killing the fill
         // when it was the last waiter).
@@ -1621,14 +1642,12 @@ impl ClusterSim {
         if fed_aborted {
             self.reschedule_fed(ctx);
         }
-        if let Some(b) = t.builder.take() {
-            let report = if by_watchdog {
-                b.abort_by_watchdog(segment, now)
-            } else {
-                b.fail(segment, now)
-            };
-            self.ingest(&report, t.wf);
-        }
+        let report = if by_watchdog {
+            t.report(id).abort_by_watchdog(segment, now)
+        } else {
+            t.report(id).fail(segment, now)
+        };
+        self.ingest(&report, t.wf);
         self.retry_or_dead_letter(id, t, segment.failure_code(), now, ctx);
         self.check_finished(now);
         self.dispatch(ctx);
@@ -1673,29 +1692,21 @@ impl ClusterSim {
         // Bounded budget: the same task identity retries so the attempt
         // count carries across failures.
         let delay = self.cfg.retry.requeue.delay(t.attempt, &mut self.rng);
-        let mut t = t;
-        t.phase = Phase::Queued;
-        t.worker = None;
-        t.builder = None;
-        t.env_flow = None;
-        t.data_flow = None;
-        t.watchdog = None;
-        t.enqueued_at = now + delay;
-        let category = t.category;
-        self.tasks.insert(id, t);
+        let ready = t.ready(now + delay);
         if delay.is_zero() {
-            self.enqueue_retry(id, category);
+            self.enqueue_retry(id, ready);
         } else {
+            self.backoff.insert(id, ready);
             self.db.record_backoff(delay);
             ctx.schedule(delay, Ev::Requeue(id));
         }
     }
 
-    fn enqueue_retry(&mut self, id: TaskId, category: Category) {
-        if category == Category::Merge {
-            self.merge_queue.push_back(id);
+    fn enqueue_retry(&mut self, id: TaskId, ready: Ready) {
+        if ready.category == Category::Merge {
+            self.merge_queue.push_back((id, ready));
         } else {
-            self.buffer.push(id);
+            self.buffer.push((id, ready));
         }
     }
 
@@ -1747,13 +1758,7 @@ impl ClusterSim {
     fn requeue(&mut self, id: TaskId, t: TaskInfo, now: SimTime) {
         if t.category == Category::Merge {
             // Re-enqueue the same merge group.
-            let mut t = t;
-            t.phase = Phase::Queued;
-            t.worker = None;
-            t.builder = None;
-            t.enqueued_at = now;
-            self.tasks.insert(id, t);
-            self.merge_queue.push_back(id);
+            self.merge_queue.push_back((id, t.ready(now)));
         } else {
             // Tasklets go back to the pool; fresh tasks re-cover them.
             if let Err(e) = self.db.mark_lost(id) {
@@ -1806,10 +1811,8 @@ impl ClusterSim {
                 ctx.cancel(ev);
             }
             self.abort_flows(&mut t, now);
-            if let Some(b) = t.builder.take() {
-                let report = b.evict(now);
-                self.ingest(&report, t.wf);
-            }
+            let report = t.report(id).evict(now);
+            self.ingest(&report, t.wf);
             self.retry_or_dead_letter(id, t, FailureCode::Evicted, now, ctx);
         }
         self.check_finished(now);
@@ -1887,6 +1890,8 @@ impl ClusterSim {
             && self.analysis_exhausted()
             && self.db.merge_backlog() == 0
             && self.merge_queue.is_empty()
+            && self.buffer.is_empty()
+            && self.backoff.is_empty()
             && self.tasks.is_empty()
         {
             self.finished_at = Some(now);
@@ -1932,8 +1937,9 @@ impl Model for ClusterSim {
                     while evict_cores > 0 {
                         // Reclaim youngest workers first (LIFO — the batch
                         // system preempts the newest scavengers).
-                        let victim = self.table.iter().map(|w| w.id).max();
-                        let Some(victim) = victim else { break };
+                        let Some(victim) = self.table.youngest() else {
+                            break;
+                        };
                         let cores = self.table.get(victim).expect("present").cores;
                         self.evict_worker(victim, false, ctx);
                         killed += cores;
@@ -1987,13 +1993,8 @@ impl Model for ClusterSim {
             }
             Ev::Deadline(id, seq) => self.on_deadline(id, seq, ctx),
             Ev::Requeue(id) => {
-                let ready = self
-                    .tasks
-                    .get(id)
-                    .filter(|t| t.phase == Phase::Queued && t.worker.is_none())
-                    .map(|t| t.category);
-                if let Some(category) = ready {
-                    self.enqueue_retry(id, category);
+                if let Some(ready) = self.backoff.remove(&id) {
+                    self.enqueue_retry(id, ready);
                     self.dispatch(ctx);
                 }
             }

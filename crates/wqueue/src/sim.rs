@@ -220,6 +220,14 @@ impl WorkerTable {
         self.workers.iter().flatten()
     }
 
+    /// The youngest connected worker: the highest id, since ids are
+    /// handed out in connect order. Walks the slab from its end, so it
+    /// passes only the slots of workers that joined after the youngest
+    /// live one and have left, not every worker ever connected.
+    pub fn youngest(&self) -> Option<u64> {
+        self.workers.iter().rev().flatten().next().map(|w| w.id)
+    }
+
     /// Hot-cache workers with at least one free slot, in id order.
     /// Exposed so invariant tests can compare the maintained index
     /// against a recomputed scan.
@@ -235,25 +243,30 @@ impl WorkerTable {
 
 /// The ready-task dispatch buffer. Lobster tops this up to `target`
 /// (default 400) so assignment never waits on task *creation*.
+///
+/// Each entry is whatever the master keeps per queued task, a bare
+/// [`TaskId`] by default. The ring grows as it fills and is released when
+/// its last task is taken, so a master whose buffer drained, such as one
+/// of many tenants whose campaign is done, holds no memory for it.
 #[derive(Clone, Debug)]
-pub struct DispatchBuffer {
+pub struct DispatchBuffer<T = TaskId> {
     target: usize,
-    ready: VecDeque<TaskId>,
+    ready: VecDeque<T>,
 }
 
-impl DispatchBuffer {
+impl<T> DispatchBuffer<T> {
     /// Buffer with the paper's default target of 400 ready tasks.
     pub fn new() -> Self {
         Self::with_target(400)
     }
 
-    /// Buffer with a custom target. Capacity is reserved up front: the
-    /// refill loop tops the buffer up to `target` every dispatch round,
-    /// so the ring never reallocates on the hot path.
+    /// Buffer with a custom target. Nothing is reserved: a small
+    /// campaign never fills the target, and many masters that each
+    /// reserved it would hold that memory for the whole run.
     pub fn with_target(target: usize) -> Self {
         DispatchBuffer {
             target,
-            ready: VecDeque::with_capacity(target + 1),
+            ready: VecDeque::new(),
         }
     }
 
@@ -278,27 +291,24 @@ impl DispatchBuffer {
     }
 
     /// Add a materialised task to the back of the buffer.
-    pub fn push(&mut self, id: TaskId) {
-        self.ready.push_back(id);
+    pub fn push(&mut self, task: T) {
+        self.ready.push_back(task);
     }
 
-    /// Return a task to the *front* of the buffer. Used when a popped
-    /// task could not be placed (no free slot at dispatch time): it keeps
-    /// its position and is offered again before anything behind it.
-    /// Eviction recovery does *not* come through here — lost tasks go back
-    /// to the tasklet pool (`mark_lost`) and are re-materialised as fresh
-    /// tasks at the back of the buffer.
-    pub fn push_front(&mut self, id: TaskId) {
-        self.ready.push_front(id);
-    }
-
-    /// Take the next ready task.
-    pub fn pop(&mut self) -> Option<TaskId> {
-        self.ready.pop_front()
+    /// Take the next ready task. A ring that falls to a quarter full
+    /// shrinks to half its size, so memory follows the buffer down as it
+    /// drains (amortised O(1) per task), and taking the last task
+    /// releases the ring.
+    pub fn pop(&mut self) -> Option<T> {
+        let task = self.ready.pop_front();
+        if self.ready.len() <= self.ready.capacity() / 4 {
+            self.ready.shrink_to(self.ready.len() * 2);
+        }
+        task
     }
 }
 
-impl Default for DispatchBuffer {
+impl<T> Default for DispatchBuffer<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -356,6 +366,34 @@ mod tests {
     }
 
     #[test]
+    fn youngest_matches_full_scan() {
+        let mut t = WorkerTable::new();
+        let scan = |t: &WorkerTable| t.iter().map(|w| w.id).max();
+        assert_eq!(t.youngest(), None);
+        for i in 0..64u64 {
+            t.connect(1 + (i % 4) as u32, 0, SimTime::ZERO);
+            assert_eq!(t.youngest(), scan(&t));
+            // Evict in a scattered order: the youngest, an old one, or
+            // one from the middle, as eviction storms and preemption do.
+            let victim = match i % 3 {
+                0 => t.youngest(),
+                1 => t.iter().map(|w| w.id).next(),
+                _ => t.iter().map(|w| w.id).nth(t.len() / 2),
+            };
+            if i % 2 == 0 {
+                t.disconnect(victim.expect("connected"));
+                assert_eq!(t.youngest(), scan(&t));
+            }
+        }
+        while let Some(y) = t.youngest() {
+            assert_eq!(Some(y), scan(&t));
+            t.disconnect(y);
+        }
+        assert!(t.is_empty());
+        assert_eq!(scan(&t), None);
+    }
+
+    #[test]
     fn release_after_disconnect_is_noop() {
         let mut t = WorkerTable::new();
         let a = t.connect(1, 0, SimTime::ZERO);
@@ -372,8 +410,6 @@ mod tests {
         b.push(TaskId(1));
         b.push(TaskId(2));
         assert_eq!(b.deficit(), 1);
-        b.push_front(TaskId(99)); // unplaceable task keeps its turn
-        assert_eq!(b.pop(), Some(TaskId(99)));
         assert_eq!(b.pop(), Some(TaskId(1)));
         assert_eq!(b.pop(), Some(TaskId(2)));
         assert_eq!(b.pop(), None);
@@ -381,31 +417,22 @@ mod tests {
     }
 
     #[test]
-    fn requeue_ordering_matches_driver_protocol() {
-        // The driver's two requeue paths behave differently by design:
-        // a popped task that found no free slot goes back to the *front*
-        // (keeps its turn); a task lost to eviction is re-materialised and
-        // joins at the *back* like any fresh task.
-        let mut b = DispatchBuffer::with_target(4);
-        b.push(TaskId(1));
-        b.push(TaskId(2));
-        // Dispatch pops task 1, claim_slot fails, task returns up front.
-        let popped = b.pop().unwrap();
-        assert_eq!(popped, TaskId(1));
-        b.push_front(popped);
-        // Meanwhile an evicted task's replacement is materialised.
-        b.push(TaskId(3));
-        assert_eq!(b.pop(), Some(TaskId(1)), "unplaced task kept its turn");
-        assert_eq!(b.pop(), Some(TaskId(2)));
-        assert_eq!(
-            b.pop(),
-            Some(TaskId(3)),
-            "eviction replacement waits behind existing work"
-        );
+    fn default_buffer_matches_paper() {
+        assert_eq!(DispatchBuffer::<TaskId>::new().target(), 400);
     }
 
     #[test]
-    fn default_buffer_matches_paper() {
-        assert_eq!(DispatchBuffer::new().target(), 400);
+    fn drained_buffer_holds_no_memory() {
+        let mut b = DispatchBuffer::with_target(400);
+        assert_eq!(b.ready.capacity(), 0, "nothing reserved up front");
+        for i in 0..300 {
+            b.push(TaskId(i));
+        }
+        assert!(b.ready.capacity() >= 300);
+        while b.pop().is_some() {
+            // Memory follows the buffer down as it drains.
+            assert!(b.ready.capacity() <= 4 * b.len(), "{b:?}");
+        }
+        assert_eq!(b.ready.capacity(), 0, "the drained ring is released");
     }
 }
