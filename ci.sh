@@ -6,10 +6,13 @@
 #
 # Every step must pass; the script stops at the first failure. A run
 # leaves the tree clean: the gated benches write their results to
-# target/bench/ and only read the committed BENCH_*.json baselines.
-# Re-recording a baseline is an explicit step, done at an unchanged
-# parent commit so the new numbers measure the host, not a change: run
-# the bench there, copy target/bench/BENCH_<name>.json over the
+# target/bench/ and only read the committed baselines (BENCH_*.json,
+# METRICS_cluster.json, CONFORMANCE_chaos.json), each through the one
+# gate in crates/bench/src/gate.rs. A baseline that does not parse as
+# its bench's result type fails the bench; an absent one only skips the
+# baseline verdicts. Re-recording a baseline is an explicit step, done
+# at an unchanged parent commit so the new numbers measure the host,
+# not a change: run the bench there, copy target/bench/<name> over the
 # committed file, and commit that copy on its own.
 
 set -eu
@@ -77,14 +80,16 @@ if ! diff -u target/paper/expected.txt target/paper/all.txt; then
 fi
 
 # Release-mode cluster-run smoke: fixed seed, failure-policy machinery
-# included; writes throughput numbers to BENCH_cluster.json plus the
-# ops-plane snapshot METRICS_cluster.json. Schema drift against the
-# committed snapshot fails the gate; value drift prints a notice.
+# included; writes throughput numbers to target/bench/BENCH_cluster.json
+# plus the ops-plane snapshot target/bench/METRICS_cluster.json, and
+# never rewrites the committed METRICS_cluster.json. Schema drift
+# against the committed snapshot fails the gate; value drift prints a
+# notice.
 step cargo run -q --release -p lobster-bench --bin bench_cluster
 
 # Render the ops dashboard straight from the committed snapshot — proves
-# the HTML view needs nothing but metrics.json. The artifact is
-# regenerated, not committed.
+# the HTML view needs nothing but metrics.json. DASHBOARD_cluster.html is
+# regenerated every run and ignored by git, not committed.
 step cargo run -q --release -p scenario --bin lobster -- \
     dashboard METRICS_cluster.json --out DASHBOARD_cluster.html
 

@@ -6,13 +6,16 @@
 //! convergence). Any invariant violation fails the run (exit 1).
 //!
 //! Results go to `target/bench/CONFORMANCE_chaos.json`; the committed
-//! `CONFORMANCE_chaos.json` is only read, as the baseline. A trace digest
+//! `CONFORMANCE_chaos.json` is only read, as the baseline, through
+//! [`lobster_bench::gate`] (so a baseline that does not parse as a
+//! [`ChaosBench`] fails the run too). A trace digest
 //! (per scenario, and per tenant of a multi-tenant scenario) that changed
 //! since the baseline prints a notice — digests legitimately move when
 //! simulation behaviour changes on purpose, so drift is surfaced for
 //! review rather than gated. Re-recording the baseline is a copy of the
 //! fresh file over the committed one.
 
+use lobster_bench::gate::{write_fresh_results, Gate};
 use scenario::chaos::chaos_scenario;
 use scenario::runner::{ConformanceReport, MultiTenantConformance, ScenarioRunner};
 use scenario::spec::Scenario;
@@ -56,18 +59,6 @@ fn library_files() -> Vec<PathBuf> {
     files
 }
 
-/// The committed baseline, if one exists and parses.
-fn read_baseline(path: &str) -> Option<ChaosBench> {
-    let text = std::fs::read_to_string(path).ok()?;
-    match serde_json::from_str(&text) {
-        Ok(baseline) => Some(baseline),
-        Err(e) => {
-            eprintln!("bench_chaos: ignoring unparseable baseline {path}: {e}");
-            None
-        }
-    }
-}
-
 /// Every trace digest of a sweep, keyed by scenario name, or by
 /// `scenario/tenant` for a multi-tenant scenario's per-tenant digests.
 fn digests(bench: &ChaosBench) -> BTreeMap<String, &str> {
@@ -88,9 +79,9 @@ fn digests(bench: &ChaosBench) -> BTreeMap<String, &str> {
 
 fn main() {
     let baseline_path = "CONFORMANCE_chaos.json";
-    let baseline = read_baseline(baseline_path);
+    let mut gate = Gate::new("bench_chaos");
+    let baseline: Option<ChaosBench> = gate.baseline(baseline_path);
     let runner = ScenarioRunner::new("bench-chaos").expect("temp dir is writable");
-    let mut failed = false;
 
     let mut library = Vec::new();
     let mut multitenant = Vec::new();
@@ -98,8 +89,7 @@ fn main() {
         let sc = match Scenario::load(&path) {
             Ok(sc) => sc,
             Err(e) => {
-                eprintln!("bench_chaos: {}: {e}", path.display());
-                failed = true;
+                gate.fail(format_args!("{}: {e}", path.display()));
                 continue;
             }
         };
@@ -116,10 +106,7 @@ fn main() {
                     );
                     multitenant.push(report);
                 }
-                Err(e) => {
-                    eprintln!("bench_chaos: FAIL {}: {e}", path.display());
-                    failed = true;
-                }
+                Err(e) => gate.fail(format_args!("{}: {e}", path.display())),
             }
             continue;
         }
@@ -135,10 +122,7 @@ fn main() {
                 );
                 library.push(report);
             }
-            Err(e) => {
-                eprintln!("bench_chaos: FAIL {}: {e}", path.display());
-                failed = true;
-            }
+            Err(e) => gate.fail(format_args!("{}: {e}", path.display())),
         }
     }
 
@@ -156,10 +140,7 @@ fn main() {
                 );
                 chaos.push(report);
             }
-            Err(e) => {
-                eprintln!("bench_chaos: FAIL chaos seed {seed}: {e}");
-                failed = true;
-            }
+            Err(e) => gate.fail(format_args!("chaos seed {seed}: {e}")),
         }
     }
 
@@ -170,8 +151,7 @@ fn main() {
         chaos,
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    let out_path =
-        lobster_bench::write_fresh_results(baseline_path, &json).expect("target/bench is writable");
+    let out_path = write_fresh_results(baseline_path, &json).expect("target/bench is writable");
     println!(
         "== bench_chaos ({} library + {} multi-tenant scenarios, {} chaos seeds) ==",
         result.library.len(),
@@ -197,9 +177,19 @@ fn main() {
             _ => {}
         }
     }
+    gate.finish();
+}
 
-    if failed {
-        eprintln!("bench_chaos: invariant violations above — failing the gate");
-        std::process::exit(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../CONFORMANCE_chaos.json");
+        let baseline = lobster_bench::gate::read_baseline::<ChaosBench>(path.as_ref())
+            .expect("CONFORMANCE_chaos.json parses as a ChaosBench")
+            .expect("CONFORMANCE_chaos.json is committed");
+        assert_eq!(baseline.chaos_seeds, CHAOS_SEEDS);
     }
 }

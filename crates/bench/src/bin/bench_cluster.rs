@@ -2,14 +2,17 @@
 //!
 //! Runs one fixed-seed, fixed-size cluster simulation (including a retry
 //! policy and an injected WAN fault window, so the failure-handling paths
-//! are part of the measured work) and writes throughput numbers to
-//! `BENCH_cluster.json` for run-to-run comparison.
+//! are part of the measured work) and writes its throughput numbers to
+//! `target/bench/BENCH_cluster.json`.
 //!
-//! The run also lowers into the ops-plane metrics snapshot,
-//! `METRICS_cluster.json`. Against the committed baseline, *schema*
-//! drift (a structural name appearing or vanishing, or an unparseable
-//! baseline) fails the gate; *value* drift only prints a notice —
-//! mirroring how `CONFORMANCE_chaos.json` treats trace digests.
+//! The run also lowers into the ops-plane metrics snapshot, written to
+//! `target/bench/METRICS_cluster.json`. The committed
+//! `METRICS_cluster.json` is the baseline, read back as a
+//! [`opsplane::MetricsSnapshot`] through [`lobster_bench::gate`] and
+//! never rewritten by a run: *schema* drift (a structural name appearing
+//! or vanishing) or a baseline that does not parse fails the gate;
+//! *value* drift only prints a notice — mirroring how
+//! `CONFORMANCE_chaos.json` treats trace digests.
 
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
@@ -19,11 +22,14 @@ use lobster::driver::{ClusterSim, SimParams};
 use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
+use lobster_bench::gate::{write_fresh_results, Gate};
+use opsplane::MetricsSnapshot;
 use serde::Serialize;
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageSchedule};
 
 const SEED: u64 = 2025;
+const METRICS: &str = "METRICS_cluster.json";
 
 #[derive(Serialize)]
 struct BenchResult {
@@ -97,46 +103,20 @@ fn setup() -> (LobsterConfig, SimParams, Vec<Workflow>) {
     (cfg, params, vec![wf])
 }
 
-/// Gate `METRICS_cluster.json` against the committed baseline: schema
-/// drift fails, value drift is a notice. Returns `false` on schema drift.
-fn gate_metrics_baseline(path: &str, snap: &opsplane::MetricsSnapshot) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        eprintln!("bench_cluster: no committed {path}; writing a fresh baseline");
-        return true;
-    };
-    let old = match opsplane::MetricsSnapshot::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bench_cluster: FAIL committed {path} does not parse: {e}");
-            return false;
-        }
-    };
-    let (old_sig, new_sig) = (old.schema_signature(), snap.schema_signature());
-    if old_sig != new_sig {
-        eprintln!("bench_cluster: FAIL metrics schema drift vs committed {path}:");
-        for name in &old_sig {
-            if !new_sig.contains(name) {
-                eprintln!("  - removed {name}");
-            }
-        }
-        for name in &new_sig {
-            if !old_sig.contains(name) {
-                eprintln!("  - added   {name}");
-            }
-        }
-        eprintln!("  (bump opsplane::SCHEMA and recommit {path} if intentional)");
-        return false;
-    }
-    if old.to_json() != snap.to_json() {
-        eprintln!(
-            "bench_cluster: NOTICE metrics value drift vs committed {path} \
-             (commit the refreshed snapshot if intentional)"
-        );
-    }
-    true
+/// The structural names `fresh` removed from and added to the committed
+/// snapshot's schema signature.
+fn schema_drift(old: &[String], fresh: &[String]) -> Vec<String> {
+    let removed = old.iter().filter(|n| !fresh.contains(n));
+    let added = fresh.iter().filter(|n| !old.contains(n));
+    removed
+        .map(|n| format!("removed {n}"))
+        .chain(added.map(|n| format!("added {n}")))
+        .collect()
 }
 
 fn main() {
+    let mut gate = Gate::new("bench_cluster");
+    let baseline: Option<MetricsSnapshot> = gate.baseline(METRICS);
     let (cfg, params, wfs) = setup();
     let started = std::time::Instant::now();
     let report = ClusterSim::run(cfg.clone(), params.clone(), wfs);
@@ -152,12 +132,7 @@ fn main() {
         eprintln!("bench_cluster: snapshot failed validation: {e}");
         std::process::exit(1);
     }
-    let metrics_path = "METRICS_cluster.json";
-    let schema_ok = gate_metrics_baseline(metrics_path, &snap);
-    std::fs::write(metrics_path, snap.to_json()).expect("writable cwd");
-    if !schema_ok {
-        std::process::exit(1);
-    }
+    let metrics_path = write_fresh_results(METRICS, &snap.to_json()).expect("writable target/");
 
     let result = BenchResult {
         seed: SEED,
@@ -171,9 +146,51 @@ fn main() {
         events_per_sec: report.events_delivered as f64 / wall_secs,
     };
     let json = serde_json::to_string_pretty(&result).expect("serialises");
-    std::fs::write("BENCH_cluster.json", &json).expect("writable cwd");
+    let out_path = write_fresh_results("BENCH_cluster.json", &json).expect("writable target/");
 
     println!("== bench_cluster (seed {SEED}) ==");
     println!("{json}");
+    println!(
+        "wrote {} and {}",
+        out_path.display(),
+        metrics_path.display()
+    );
     eprintln!("[wall-clock {wall_secs:.3}s]");
+
+    if let Some(old) = baseline {
+        let (old_sig, new_sig) = (old.schema_signature(), snap.schema_signature());
+        gate.check(
+            old_sig == new_sig,
+            format_args!(
+                "metrics schema drift vs committed {METRICS}: {} \
+                 (bump opsplane::SCHEMA and copy {} over {METRICS} if intentional)",
+                schema_drift(&old_sig, &new_sig).join(", "),
+                metrics_path.display()
+            ),
+        );
+        if old_sig == new_sig && old.to_json() != snap.to_json() {
+            eprintln!(
+                "bench_cluster: NOTICE metrics value drift vs committed {METRICS} \
+                 (copy {} over it if intentional)",
+                metrics_path.display()
+            );
+        }
+    }
+    gate.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS_cluster.json");
+        let baseline = lobster_bench::gate::read_baseline::<MetricsSnapshot>(path.as_ref())
+            .expect("METRICS_cluster.json parses as a MetricsSnapshot")
+            .expect("METRICS_cluster.json is committed");
+        baseline
+            .validate()
+            .expect("the committed snapshot is valid");
+    }
 }

@@ -6,16 +6,17 @@
 //! weight-normalised delivered CPU should stay near 1 at every point.
 //!
 //! Results go to `target/bench/BENCH_multitenant.json`; the committed
-//! `BENCH_multitenant.json` is the baseline and no run rewrites it (see
-//! [`lobster_bench::write_fresh_results`]). Two gates:
+//! `BENCH_multitenant.json` is the baseline, read back as a
+//! [`MultiTenantBench`] through [`lobster_bench::gate`]. Three gates,
+//! each failing the run (exit 1):
 //!
 //! * **Fairness** — any contended point (≥2 tenants) whose Jain index
-//!   falls below 0.9 fails the run (exit 1).
-//! * **Throughput** — if the committed baseline is present, any point
-//!   whose aggregate events/sec regresses by more than 20% fails.
+//!   falls below 0.9.
+//! * **Throughput** — any point whose aggregate events/sec falls more
+//!   than 20% below the baseline's.
 //! * **Heap** — any point whose peak live heap (`peak_alloc_bytes`, from
 //!   a counting global allocator: the most the run allocated and still
-//!   held at once) is above the baseline's fails, exactly, as in
+//!   held at once) is above the baseline's, exactly, as in
 //!   `bench_scale`. The peak is read from one more run of the point
 //!   stepped on the calling thread alone: a fanned-out run's peak moves
 //!   by a few hundred bytes with how the threads' allocations interleave,
@@ -30,8 +31,8 @@ use lobster::config::{LobsterConfig, WorkflowConfig};
 use lobster::driver::SimParams;
 use lobster::workflow::Workflow;
 use lobster_bench::alloc::{self, CountingAlloc};
-use lobster_bench::write_fresh_results;
-use serde::Serialize;
+use lobster_bench::gate::{write_fresh_results, Gate};
+use serde::{Deserialize, Serialize};
 use simkit::time::SimDuration;
 use tenancy::{MultiTenant, TenancyConfig, TenantSpec};
 
@@ -44,14 +45,11 @@ const SWEEP_TENANTS: [usize; 7] = [1, 2, 5, 10, 25, 50, 100];
 const REPEATS: u32 = 5;
 /// Contended sweep points must keep Jain's index above this floor.
 const JAIN_FLOOR: f64 = 0.9;
-/// Fail the gate when a sweep point loses more than this fraction of its
-/// baseline events/sec.
-const MAX_REGRESSION: f64 = 0.20;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct SweepPoint {
     tenants: usize,
     tasklets_per_tenant: u64,
@@ -64,7 +62,7 @@ struct SweepPoint {
     peak_alloc_bytes: u64,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct MultiTenantBench {
     seed: u64,
     pool_cores: u32,
@@ -108,64 +106,8 @@ fn tenant(i: usize) -> TenantSpec {
     }
 }
 
-/// One sweep point of a committed BENCH_multitenant.json.
-struct Baseline {
-    tenants: usize,
-    events_per_sec: f64,
-    peak_alloc_bytes: u64,
-}
-
-/// The sweep points of a committed BENCH_multitenant.json, if one exists
-/// and parses.
-fn read_baseline(path: &str) -> Vec<Baseline> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(v) = serde_json::from_str::<serde_json::Value>(&text) else {
-        eprintln!("bench_multitenant: ignoring unparseable baseline {path}");
-        return Vec::new();
-    };
-    use serde_json::Value;
-    let num = |v: &Value| -> Option<f64> {
-        match *v {
-            Value::U64(n) => Some(n as f64),
-            Value::I64(n) => Some(n as f64),
-            Value::F64(x) => Some(x),
-            _ => None,
-        }
-    };
-    let mut out = Vec::new();
-    let points = v
-        .as_object()
-        .and_then(|fields| Value::get_field(fields, "points"))
-        .and_then(|p| match p {
-            Value::Array(items) => Some(items.as_slice()),
-            _ => None,
-        })
-        .unwrap_or(&[]);
-    for p in points {
-        let Some(fields) = p.as_object() else {
-            continue;
-        };
-        if let (Some(tenants), Some(eps), Some(peak)) = (
-            Value::get_field(fields, "tenants").and_then(&num),
-            Value::get_field(fields, "events_per_sec").and_then(&num),
-            Value::get_field(fields, "peak_alloc_bytes").and_then(&num),
-        ) {
-            out.push(Baseline {
-                tenants: tenants as usize,
-                events_per_sec: eps,
-                peak_alloc_bytes: peak as u64,
-            });
-        }
-    }
-    out
-}
-
 fn main() {
     alloc::set_counting(false);
-    let baseline = read_baseline("BENCH_multitenant.json");
-
     let mut points = Vec::new();
     for &n in &SWEEP_TENANTS {
         let mut report = None;
@@ -244,46 +186,50 @@ fn main() {
     println!("{json}");
     println!("wrote {}", out_path.display());
 
+    // Read only now, so the baseline's own heap is in no point's peak.
+    let mut gate = Gate::new("bench_multitenant");
+    let baseline: Option<MultiTenantBench> = gate.baseline("BENCH_multitenant.json");
+
     // Fairness gate: equal weights must split the pool evenly wherever
     // there is actual contention.
-    let mut failed = false;
     for p in &result.points {
-        if p.tenants >= 2 && p.jain_fairness < JAIN_FLOOR {
-            eprintln!(
-                "bench_multitenant: UNFAIR at {} tenants: jain {:.4} < {JAIN_FLOOR}",
+        gate.check(
+            p.tenants < 2 || p.jain_fairness >= JAIN_FLOOR,
+            format_args!(
+                "UNFAIR at {} tenants: jain {:.4} < {JAIN_FLOOR}",
                 p.tenants, p.jain_fairness
-            );
-            failed = true;
-        }
+            ),
+        );
     }
-
-    // Regression gate: compare against the committed baseline.
-    for old in &baseline {
+    for old in baseline.iter().flat_map(|b| &b.points) {
         let Some(new) = result.points.iter().find(|p| p.tenants == old.tenants) else {
             continue;
         };
-        let (tenants, old_eps) = (old.tenants, old.events_per_sec);
-        if new.peak_alloc_bytes > old.peak_alloc_bytes {
-            eprintln!(
-                "bench_multitenant: REGRESSION at {tenants} tenants: peak heap {} B > baseline {} B",
-                new.peak_alloc_bytes, old.peak_alloc_bytes
-            );
-            failed = true;
-        }
-        let floor = old_eps * (1.0 - MAX_REGRESSION);
-        if new.events_per_sec < floor {
-            eprintln!(
-                "bench_multitenant: REGRESSION at {tenants} tenants: {:.0} ev/s < {:.0} ev/s \
-                 (baseline {:.0} − {:.0}%)",
-                new.events_per_sec,
-                floor,
-                old_eps,
-                MAX_REGRESSION * 100.0
-            );
-            failed = true;
-        }
+        let at = old.tenants;
+        gate.at_most(
+            &format!("peak heap (B) at {at} tenants"),
+            new.peak_alloc_bytes,
+            old.peak_alloc_bytes,
+        );
+        gate.floor(
+            &format!("events/s at {at} tenants"),
+            new.events_per_sec,
+            old.events_per_sec,
+        );
     }
-    if failed {
-        std::process::exit(1);
+    gate.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_multitenant.json");
+        let baseline = lobster_bench::gate::read_baseline::<MultiTenantBench>(path.as_ref())
+            .expect("BENCH_multitenant.json parses as a MultiTenantBench")
+            .expect("BENCH_multitenant.json is committed");
+        assert_eq!(baseline.points.len(), SWEEP_TENANTS.len());
     }
 }

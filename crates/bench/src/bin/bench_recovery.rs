@@ -12,11 +12,12 @@
 //! ([`lobster::db::journal_bytes`] sums the shard directory). Gates:
 //!
 //! 1. snapshot+tail must beat full replay, and resume in < 100 ms;
-//! 2. against the committed `BENCH_recovery.json`: a >20% resume-latency
-//!    regression, or any growth of either leg's journal bytes, fails.
+//! 2. against the committed `BENCH_recovery.json`, read back as a
+//!    [`BenchResult`] through [`lobster_bench::gate`]: a snapshot+tail
+//!    resume more than 20% slower than the baseline's, or any growth of
+//!    either leg's journal bytes, fails.
 //!
-//! Results go to `target/bench/BENCH_recovery.json`; no run rewrites the
-//! committed baseline (see [`lobster_bench::write_fresh_results`]).
+//! Results go to `target/bench/BENCH_recovery.json`.
 //!
 //! The run is fully seeded, so both journals are byte-deterministic: the
 //! full-replay leg pins the codec and batch framing, the snapshot+tail
@@ -31,8 +32,8 @@ use lobster::driver::{ClusterSim, SimParams};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
 use lobster::Session;
-use lobster_bench::write_fresh_results;
-use serde::Serialize;
+use lobster_bench::gate::{write_fresh_results, Gate};
+use serde::{Deserialize, Serialize};
 use simkit::time::SimDuration;
 use std::path::PathBuf;
 
@@ -42,13 +43,13 @@ const RECOVER_REPS: u32 = 5;
 /// Snapshot+tail resume must finish in under 100 ms.
 const RESUME_BUDGET_SECS: f64 = 0.100;
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct RecoveryLeg {
     journal_bytes: u64,
     recover_secs: f64,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct BenchResult {
     seed: u64,
     snapshot_every_records: u64,
@@ -138,38 +139,9 @@ fn time_recover(path: &PathBuf) -> (f64, LobsterDb) {
     (best, db.expect("at least one rep"))
 }
 
-/// Baseline (snapshot+tail resume seconds, full-replay journal bytes,
-/// snapshot+tail journal bytes) from a committed BENCH_recovery.json, if
-/// one exists and parses.
-fn read_baseline(path: &str) -> Option<(f64, u64, u64)> {
-    use serde_json::Value;
-    let text = std::fs::read_to_string(path).ok()?;
-    let v: Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(_) => {
-            eprintln!("bench_recovery: ignoring unparseable baseline {path}");
-            return None;
-        }
-    };
-    let leg = |name: &str| Value::get_field(v.as_object()?, name)?.as_object();
-    let bytes = |name: &str| match Value::get_field(leg(name)?, "journal_bytes")? {
-        Value::U64(n) => Some(*n),
-        _ => None,
-    };
-    let secs = match Value::get_field(leg("snapshot_tail")?, "recover_secs")? {
-        Value::F64(x) => *x,
-        Value::U64(n) => *n as f64,
-        Value::I64(n) => *n as f64,
-        _ => return None,
-    };
-    Some((secs, bytes("full_replay")?, bytes("snapshot_tail")?))
-}
-
-/// >20% slower resume than the committed baseline fails the gate.
-const MAX_REGRESSION: f64 = 0.20;
-
 fn main() {
-    let baseline = read_baseline("BENCH_recovery.json");
+    let mut gate = Gate::new("bench_recovery");
+    let baseline: Option<BenchResult> = gate.baseline("BENCH_recovery.json");
     let replay_path = journal_path("full-replay");
     let snap_path = journal_path("snapshot-tail");
 
@@ -244,51 +216,53 @@ fn main() {
     println!("{json}");
     println!("wrote {}", out_path.display());
 
-    let mut failed = false;
-    if replay_secs <= snap_secs {
-        eprintln!(
-            "bench_recovery: snapshot+tail ({snap_secs:.6}s) did not beat \
-             full replay ({replay_secs:.6}s)"
+    gate.check(
+        replay_secs > snap_secs,
+        format_args!(
+            "snapshot+tail ({snap_secs:.6}s) did not beat full replay ({replay_secs:.6}s)"
+        ),
+    );
+    gate.check(
+        snap_secs < RESUME_BUDGET_SECS,
+        format_args!(
+            "snapshot+tail resume {snap_secs:.6}s over the {RESUME_BUDGET_SECS:.3}s budget"
+        ),
+    );
+    // The run is fully seeded, so the journals are byte-deterministic:
+    // any size growth is a real format/policy change and fails, not just
+    // a noisy measurement.
+    if let Some(old) = baseline {
+        gate.ceiling(
+            "snapshot+tail resume (s)",
+            snap_secs,
+            old.snapshot_tail.recover_secs,
         );
-        failed = true;
-    }
-    if snap_secs >= RESUME_BUDGET_SECS {
-        eprintln!(
-            "bench_recovery: snapshot+tail resume {snap_secs:.6}s over the \
-             {RESUME_BUDGET_SECS:.3}s budget"
+        gate.at_most(
+            "full_replay journal (B)",
+            replay_bytes,
+            old.full_replay.journal_bytes,
         );
-        failed = true;
-    }
-    // Regression gate against the committed baseline. The run is fully
-    // seeded, so the journals are byte-deterministic: any size growth is
-    // a real format/policy change and fails, not just a noisy
-    // measurement.
-    if let Some((old_secs, old_replay_bytes, old_snap_bytes)) = baseline {
-        let ceiling = old_secs * (1.0 + MAX_REGRESSION);
-        if snap_secs > ceiling {
-            eprintln!(
-                "bench_recovery: REGRESSION: resume {snap_secs:.6}s > {ceiling:.6}s \
-                 (baseline {old_secs:.6}s + {:.0}%)",
-                MAX_REGRESSION * 100.0
-            );
-            failed = true;
-        }
-        for (leg, bytes, old_bytes) in [
-            ("full_replay", replay_bytes, old_replay_bytes),
-            ("snapshot_tail", snap_bytes, old_snap_bytes),
-        ] {
-            if bytes > old_bytes {
-                eprintln!(
-                    "bench_recovery: REGRESSION: {leg} journal grew to {bytes} bytes \
-                     (baseline {old_bytes})"
-                );
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
+        gate.at_most(
+            "snapshot_tail journal (B)",
+            snap_bytes,
+            old.snapshot_tail.journal_bytes,
+        );
     }
     cleanup(&replay_path);
     cleanup(&snap_path);
+    gate.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
+        let baseline = lobster_bench::gate::read_baseline::<BenchResult>(path.as_ref())
+            .expect("BENCH_recovery.json parses as a BenchResult")
+            .expect("BENCH_recovery.json is committed");
+        assert_eq!(baseline.snapshot_every_records, SNAPSHOT_EVERY);
+    }
 }

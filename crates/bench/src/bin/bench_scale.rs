@@ -9,13 +9,12 @@
 //!
 //! For every sweep point it records events/sec, wall time, and a peak-RSS
 //! proxy from a counting global allocator. Results go to
-//! `target/bench/BENCH_scale.json`. If the committed `BENCH_scale.json`
-//! baseline is present, the run fails (exit 1) on any sweep point whose
-//! events/sec regresses by more than 20% against it, or whose peak heap
-//! is above it at all: the peak depends only on the seed, the code and
-//! the toolchain, never on the host, so it needs no tolerance. The
-//! baseline is never rewritten by a run (see
-//! [`lobster_bench::write_fresh_results`]).
+//! `target/bench/BENCH_scale.json`; the committed `BENCH_scale.json` is
+//! the baseline, read back as a [`ScaleBench`] through
+//! [`lobster_bench::gate`]. The run fails (exit 1) on any sweep point
+//! whose events/sec falls more than 20% below the baseline's, or whose
+//! peak heap is above the baseline's at all: the peak depends only on the seed, the
+//! code and the toolchain, never on the host, so it needs no tolerance.
 
 use batchsim::availability::AvailabilityModel;
 use batchsim::pool::PoolConfig;
@@ -25,22 +24,19 @@ use lobster::fault::{Fault, FaultPlan, FaultTarget};
 use lobster::merge::MergeMode;
 use lobster::workflow::Workflow;
 use lobster_bench::alloc::{self, CountingAlloc};
-use lobster_bench::write_fresh_results;
-use serde::Serialize;
+use lobster_bench::gate::{write_fresh_results, Gate};
+use serde::{Deserialize, Serialize};
 use simkit::time::{SimDuration, SimTime};
 use simnet::outage::{Outage, OutageSchedule};
 
 const SEED: u64 = 2025;
 const TASKLETS_PER_CORE: u64 = 50;
 const SWEEP_CORES: [u32; 4] = [2_500, 5_000, 10_000, 20_000];
-/// Fail the gate when a sweep point loses more than this fraction of its
-/// baseline events/sec.
-const MAX_REGRESSION: f64 = 0.20;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct SweepPoint {
     cores: u32,
     workers: u32,
@@ -55,7 +51,7 @@ struct SweepPoint {
     peak_alloc_bytes: u64,
 }
 
-#[derive(Serialize)]
+#[derive(Serialize, Deserialize)]
 struct ScaleBench {
     seed: u64,
     tasklets_per_core: u64,
@@ -123,63 +119,7 @@ fn setup(cores: u32) -> (LobsterConfig, SimParams, Vec<Workflow>) {
     (cfg, params, vec![wf])
 }
 
-/// One sweep point of a committed BENCH_scale.json.
-struct Baseline {
-    cores: u32,
-    events_per_sec: f64,
-    peak_alloc_bytes: u64,
-}
-
-/// The sweep points of a committed BENCH_scale.json, if one exists and
-/// parses.
-fn read_baseline(path: &str) -> Vec<Baseline> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(v) = serde_json::from_str::<serde_json::Value>(&text) else {
-        eprintln!("bench_scale: ignoring unparseable baseline {path}");
-        return Vec::new();
-    };
-    use serde_json::Value;
-    let num = |v: &Value| -> Option<f64> {
-        match *v {
-            Value::U64(n) => Some(n as f64),
-            Value::I64(n) => Some(n as f64),
-            Value::F64(x) => Some(x),
-            _ => None,
-        }
-    };
-    let mut out = Vec::new();
-    let points = v
-        .as_object()
-        .and_then(|fields| Value::get_field(fields, "points"))
-        .and_then(|p| match p {
-            Value::Array(items) => Some(items.as_slice()),
-            _ => None,
-        })
-        .unwrap_or(&[]);
-    for p in points {
-        let Some(fields) = p.as_object() else {
-            continue;
-        };
-        if let (Some(cores), Some(eps), Some(peak)) = (
-            Value::get_field(fields, "cores").and_then(&num),
-            Value::get_field(fields, "events_per_sec").and_then(&num),
-            Value::get_field(fields, "peak_alloc_bytes").and_then(&num),
-        ) {
-            out.push(Baseline {
-                cores: cores as u32,
-                events_per_sec: eps,
-                peak_alloc_bytes: peak as u64,
-            });
-        }
-    }
-    out
-}
-
 fn main() {
-    let baseline = read_baseline("BENCH_scale.json");
-
     let mut points = Vec::new();
     for &cores in &SWEEP_CORES {
         let (cfg, params, wfs) = setup(cores);
@@ -229,34 +169,38 @@ fn main() {
     println!("{json}");
     println!("wrote {}", out_path.display());
 
-    // Regression gate: compare against the committed baseline.
-    let mut failed = false;
-    for old in &baseline {
+    // Read only now, so the baseline's own heap is in no point's peak.
+    let mut gate = Gate::new("bench_scale");
+    let baseline: Option<ScaleBench> = gate.baseline("BENCH_scale.json");
+    for old in baseline.iter().flat_map(|b| &b.points) {
         let Some(new) = result.points.iter().find(|p| p.cores == old.cores) else {
             continue;
         };
-        let (cores, old_eps) = (old.cores, old.events_per_sec);
-        if new.peak_alloc_bytes > old.peak_alloc_bytes {
-            eprintln!(
-                "bench_scale: REGRESSION at {cores} cores: peak heap {} B > baseline {} B",
-                new.peak_alloc_bytes, old.peak_alloc_bytes
-            );
-            failed = true;
-        }
-        let floor = old_eps * (1.0 - MAX_REGRESSION);
-        if new.events_per_sec < floor {
-            eprintln!(
-                "bench_scale: REGRESSION at {cores} cores: {:.0} ev/s < {:.0} ev/s \
-                 (baseline {:.0} − {:.0}%)",
-                new.events_per_sec,
-                floor,
-                old_eps,
-                MAX_REGRESSION * 100.0
-            );
-            failed = true;
-        }
+        let at = old.cores;
+        gate.at_most(
+            &format!("peak heap (B) at {at} cores"),
+            new.peak_alloc_bytes,
+            old.peak_alloc_bytes,
+        );
+        gate.floor(
+            &format!("events/s at {at} cores"),
+            new.events_per_sec,
+            old.events_per_sec,
+        );
     }
-    if failed {
-        std::process::exit(1);
+    gate.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn committed_baseline_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
+        let baseline = lobster_bench::gate::read_baseline::<ScaleBench>(path.as_ref())
+            .expect("BENCH_scale.json parses as a ScaleBench")
+            .expect("BENCH_scale.json is committed");
+        assert_eq!(baseline.points.len(), SWEEP_CORES.len());
     }
 }

@@ -2,26 +2,11 @@
 //!
 //! [`paper`] holds every figure and ablation of the paper's evaluation;
 //! the `paper` binary prints them. The `bench_*` binaries are the gated
-//! benches that `ci.sh` runs.
+//! benches that `ci.sh` runs, each through the one baseline [`gate`].
 
 pub mod alloc;
+pub mod gate;
 pub mod paper;
-
-use std::path::{Path, PathBuf};
-
-/// Write a gated bench's results for this run to `target/bench/<name>`
-/// and return that path. The committed `<name>` at the repository root
-/// is the baseline the gate reads, and no run rewrites it: a slow or
-/// failed run cannot become the next baseline. Re-recording a baseline
-/// is an explicit copy of this file over it, made at an unchanged parent
-/// commit.
-pub fn write_fresh_results(name: &str, json: &str) -> std::io::Result<PathBuf> {
-    let dir = Path::new("target").join("bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, json)?;
-    Ok(path)
-}
 
 /// Render a series of panel rows as `label: sparkline (max=…)`.
 pub fn panel(label: &str, series: &[f64]) -> String {

@@ -54,7 +54,6 @@ pub mod merge;
 pub mod monitor;
 pub mod ops;
 mod paged;
-pub mod publish;
 pub mod session;
 pub mod tasksize;
 pub mod workflow;

@@ -3,9 +3,9 @@
 //! [`snapshot_from_run`] lowers any [`RunReport`] — a live one from
 //! [`crate::Session::status`] or a finished one from
 //! [`crate::Session::finish`] — into an
-//! [`opsplane::MetricsSnapshot`]: counters and gauges go through the
-//! typed [`opsplane::Registry`] (name-sorted on export), time lines
-//! become series keyed by the timeline bin width, and the §5 diagnostic
+//! [`opsplane::MetricsSnapshot`]: counters, gauges and the time lines
+//! (as series keyed by the timeline bin width) are listed in name order,
+//! the order [`MetricsSnapshot::validate`] requires, and the §5 diagnostic
 //! tables (accounting, failures by code, watchdog aborts, segment
 //! means, advisor signals and advice, dead letters, transfer dashboard)
 //! are materialised row by row. Everything is derived from simulated
@@ -17,8 +17,8 @@ use crate::config::LobsterConfig;
 use crate::driver::{RunReport, SimParams};
 use crate::monitor::Accounting;
 use opsplane::{
-    AccountingRow, DeadLetterRow, LabelCount, MetricsSnapshot, Registry, RunMeta, SegmentRow,
-    SignalRow, TransferRow,
+    AccountingRow, CounterSample, DeadLetterRow, GaugeSample, LabelCount, MetricsSnapshot, RunMeta,
+    SegmentRow, SeriesSample, SignalRow, TransferRow,
 };
 use serde::Serialize;
 use simkit::time::SimTime;
@@ -100,39 +100,50 @@ pub fn snapshot_from_run(
     };
     let mut snap = MetricsSnapshot::new(meta);
 
-    // Counters and gauges through the registry (sorted on export).
-    let mut reg = Registry::new();
-    reg.set_counter("tasks_completed", report.tasks_completed);
-    reg.set_counter("tasks_failed", report.tasks_failed);
-    reg.set_counter("evictions", report.evictions);
-    reg.set_counter("merges_completed", report.merges_completed);
-    reg.set_counter("merged_files", report.merged_files.len() as u64);
-    reg.set_counter("retries", report.accounting.retries);
-    reg.set_counter("watchdog_aborts", report.accounting.watchdog_aborts);
-    reg.set_counter("dead_lettered", report.accounting.dead_lettered);
-    reg.set_gauge("peak_concurrency", report.peak_concurrency);
-    reg.set_gauge("backoff_hours", report.accounting.backoff_hours);
-    reg.set_gauge("final_task_size", f64::from(report.final_task_size));
+    // Counters, gauges and series, each listed in name order.
+    let counter = |name: &str, value| CounterSample {
+        name: name.to_string(),
+        value,
+    };
+    snap.counters = vec![
+        counter("dead_lettered", report.accounting.dead_lettered),
+        counter("evictions", report.evictions),
+        counter("merged_files", report.merged_files.len() as u64),
+        counter("merges_completed", report.merges_completed),
+        counter("retries", report.accounting.retries),
+        counter("tasks_completed", report.tasks_completed),
+        counter("tasks_failed", report.tasks_failed),
+        counter("watchdog_aborts", report.accounting.watchdog_aborts),
+    ];
+    let gauge = |name: &str, value| GaugeSample {
+        name: name.to_string(),
+        value,
+    };
+    snap.gauges = vec![
+        gauge("backoff_hours", report.accounting.backoff_hours),
+        gauge("final_task_size", f64::from(report.final_task_size)),
+        gauge("peak_concurrency", report.peak_concurrency),
+    ];
 
     // Time lines (Figures 7, 10, 11) as series keyed by the bin width.
     let bin_secs = report.timeline.bin().as_secs_f64();
-    reg.set_series("concurrency", bin_secs, report.timeline.concurrency());
-    reg.set_series("efficiency", bin_secs, report.timeline.efficiency());
-    reg.set_series("completions", bin_secs, report.timeline.completions());
-    reg.set_series("failures", bin_secs, report.timeline.failures());
-    reg.set_series("setup_minutes", bin_secs, report.timeline.setup_minutes());
-    reg.set_series(
-        "stageout_minutes",
+    let series = |name: &str, points| SeriesSample {
+        name: name.to_string(),
         bin_secs,
-        report.timeline.stageout_minutes(),
-    );
-    reg.set_series("dead_letters", bin_secs, report.timeline.dead_letters());
-    reg.set_series("analysis_done", bin_secs, report.analysis_done.sums());
-    reg.set_series("merge_done", bin_secs, report.merge_done.sums());
-
-    snap.counters = reg.counter_samples();
-    snap.gauges = reg.gauge_samples();
-    snap.series = reg.series_samples();
+        points,
+    };
+    let timeline = &report.timeline;
+    snap.series = vec![
+        series("analysis_done", report.analysis_done.sums()),
+        series("completions", timeline.completions()),
+        series("concurrency", timeline.concurrency()),
+        series("dead_letters", timeline.dead_letters()),
+        series("efficiency", timeline.efficiency()),
+        series("failures", timeline.failures()),
+        series("merge_done", report.merge_done.sums()),
+        series("setup_minutes", timeline.setup_minutes()),
+        series("stageout_minutes", timeline.stageout_minutes()),
+    ];
 
     // Figure 8 accounting table.
     snap.accounting = report

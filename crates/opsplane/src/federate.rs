@@ -126,7 +126,7 @@ impl FederatedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::RunMeta;
+    use crate::snapshot::{CounterSample, RunMeta};
 
     fn snap(name: &str, completed: u64) -> MetricsSnapshot {
         let mut s = MetricsSnapshot::new(RunMeta {
@@ -138,11 +138,15 @@ mod tests {
             finished_us: 900,
             events_delivered: 10 * completed,
         });
-        let mut reg = crate::Registry::new();
-        reg.set_counter("tasks_completed", completed);
-        reg.set_counter("tasks_failed", 1);
-        reg.set_counter("evictions", 2);
-        s.counters = reg.counter_samples();
+        let counter = |name: &str, value| CounterSample {
+            name: name.to_string(),
+            value,
+        };
+        s.counters = vec![
+            counter("evictions", 2),
+            counter("tasks_completed", completed),
+            counter("tasks_failed", 1),
+        ];
         s
     }
 

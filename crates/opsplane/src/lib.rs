@@ -6,11 +6,9 @@
 //! monitor's in-memory aggregates into artifacts an operator (or CI)
 //! consumes without recompiling anything:
 //!
-//! * [`Registry`] — a typed metric registry (counters / gauges / series)
-//!   the driver and monitor feed; names are kept in sorted order so
-//!   every export is deterministic.
 //! * [`MetricsSnapshot`] — the `metrics.json` schema: one serializable
-//!   struct covering registry metrics plus the Figure 8/10/11 panels
+//!   struct covering named counters, gauges and series (name-sorted, so
+//!   every export is deterministic) plus the Figure 8/10/11 panels
 //!   (accounting, series, failures by code, segment means, advisor
 //!   signals and advice, dead letters, transfer dashboard). Snapshots
 //!   carry no wall-clock — only simulated time — so the same seed
@@ -30,11 +28,9 @@
 pub mod dashboard;
 pub mod federate;
 pub mod prom;
-pub mod registry;
 pub mod snapshot;
 
 pub use federate::{FederatedSnapshot, FederatedTotals, TenantMetrics, FEDERATED_SCHEMA};
-pub use registry::Registry;
 pub use snapshot::{
     AccountingRow, CounterSample, DeadLetterRow, GaugeSample, LabelCount, MetricsSnapshot, RunMeta,
     SegmentRow, SeriesSample, SignalRow, TransferRow, SCHEMA,

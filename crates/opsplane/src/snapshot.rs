@@ -1,8 +1,8 @@
 //! The `metrics.json` snapshot schema.
 //!
 //! One [`MetricsSnapshot`] is the complete observable state of a run:
-//! registry metrics plus the §5 panels. Serialization rules that make
-//! same-seed runs byte-identical:
+//! named counters, gauges and series plus the §5 panels. Serialization
+//! rules that make same-seed runs byte-identical:
 //!
 //! * field order is declaration order (the vendored serde preserves it);
 //! * every list is either name-sorted (counters, gauges, series,
@@ -143,11 +143,11 @@ pub struct MetricsSnapshot {
     pub schema: String,
     /// Run identity and outcomes.
     pub run: RunMeta,
-    /// Registry counters, name-sorted.
+    /// Named counters, name-sorted.
     pub counters: Vec<CounterSample>,
-    /// Registry gauges, name-sorted.
+    /// Named gauges, name-sorted.
     pub gauges: Vec<GaugeSample>,
-    /// Registry series, name-sorted.
+    /// Named series, name-sorted.
     pub series: Vec<SeriesSample>,
     /// Figure 8 accounting rows, paper order.
     pub accounting: Vec<AccountingRow>,
@@ -310,14 +310,8 @@ fn check_sorted<'a>(what: &str, names: impl Iterator<Item = &'a str>) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
 
     fn sample() -> MetricsSnapshot {
-        let mut r = Registry::new();
-        r.inc("tasks_completed", 960);
-        r.inc("tasks_failed", 12);
-        r.set_gauge("peak_concurrency", 512.0);
-        r.set_series("concurrency", 600.0, vec![10.0, 400.0, 512.0]);
         let mut s = MetricsSnapshot::new(RunMeta {
             name: "sample".into(),
             seed: 7,
@@ -327,9 +321,25 @@ mod tests {
             finished_us: 50_000_000_000,
             events_delivered: 12345,
         });
-        s.counters = r.counter_samples();
-        s.gauges = r.gauge_samples();
-        s.series = r.series_samples();
+        s.counters = vec![
+            CounterSample {
+                name: "tasks_completed".into(),
+                value: 960,
+            },
+            CounterSample {
+                name: "tasks_failed".into(),
+                value: 12,
+            },
+        ];
+        s.gauges = vec![GaugeSample {
+            name: "peak_concurrency".into(),
+            value: 512.0,
+        }];
+        s.series = vec![SeriesSample {
+            name: "concurrency".into(),
+            bin_secs: 600.0,
+            points: vec![10.0, 400.0, 512.0],
+        }];
         s.accounting.push(AccountingRow {
             phase: "Task CPU Time".into(),
             hours: 100.0,

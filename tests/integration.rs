@@ -404,8 +404,8 @@ fn advisor_remediation_loop() {
 
 /// S4 determinism gate (ops plane): two runs with the same seed must
 /// lower to byte-identical `metrics.json` snapshots. This sits alongside
-/// the trace-digest check above — the snapshot covers the registry
-/// exports, the Figure 8/10/11 panels, the advisor signals, and the
+/// the trace-digest check above — the snapshot covers the counters,
+/// gauges and series, the Figure 8/10/11 panels, the advisor signals, and the
 /// dead-letter ledger, so it catches nondeterminism in any of them.
 #[test]
 fn same_seed_runs_emit_byte_identical_metrics_snapshots() {
