@@ -425,14 +425,15 @@ pub struct ClusterSim {
     analysis_units: u64,
     foremen: Vec<Server>,
     squids: Vec<Squid>,
-    squid_wake: Vec<Option<EventId>>,
+    /// Per-squid pending wake: (instant, event).
+    squid_wake: Vec<Option<(SimTime, EventId)>>,
     squid_flows: Vec<BTreeMap<FlowId, TaskId>>,
     /// Per-squid: cold-fill flow → worker (alien-cache shared fills).
     squid_fill_flows: Vec<BTreeMap<FlowId, u64>>,
     /// Worker → (squid, fill flow, tasks waiting on the fill).
     env_fill: BTreeMap<u64, (usize, FlowId, Vec<TaskId>)>,
     fed: Federation,
-    fed_wake: Option<EventId>,
+    fed_wake: Option<(SimTime, EventId)>,
     fed_flows: BTreeMap<FlowId, TaskId>,
     chirp: ChirpServer,
     catalog: ReleaseFootprint,
@@ -1195,11 +1196,11 @@ impl ClusterSim {
     }
 
     fn reschedule_squid(&mut self, idx: usize, ctx: &mut Ctx<Ev>) {
-        if let Some(ev) = self.squid_wake[idx].take() {
+        if let Some((_, ev)) = self.squid_wake[idx].take() {
             ctx.cancel(ev);
         }
         if let Some((when, _)) = self.squids[idx].next_completion() {
-            self.squid_wake[idx] = Some(ctx.schedule_at(when, Ev::SquidWake(idx)));
+            self.squid_wake[idx] = Some((when, ctx.schedule_at(when, Ev::SquidWake(idx))));
         }
     }
 
@@ -1378,11 +1379,11 @@ impl ClusterSim {
     }
 
     fn reschedule_fed(&mut self, ctx: &mut Ctx<Ev>) {
-        if let Some(ev) = self.fed_wake.take() {
+        if let Some((_, ev)) = self.fed_wake.take() {
             ctx.cancel(ev);
         }
         if let Some((when, _)) = self.fed.next_completion() {
-            self.fed_wake = Some(ctx.schedule_at(when, Ev::FedWake));
+            self.fed_wake = Some((when, ctx.schedule_at(when, Ev::FedWake)));
         }
     }
 
@@ -1632,16 +1633,7 @@ impl ClusterSim {
         } else {
             self.release_task_slot(worker, id);
         }
-        let squid_aborted = t.env_flow.map(|(idx, _)| idx);
-        let fed_aborted = t.data_flow.is_some();
-        self.abort_flows(&mut t, now);
-        // A mid-flight abort re-times the component's remaining flows.
-        if let Some(idx) = squid_aborted {
-            self.reschedule_squid(idx, ctx);
-        }
-        if fed_aborted {
-            self.reschedule_fed(ctx);
-        }
+        self.abort_flows(&mut t, now, ctx);
         let report = if by_watchdog {
             t.report(id).abort_by_watchdog(segment, now)
         } else {
@@ -1742,14 +1734,18 @@ impl ClusterSim {
         self.maybe_plan_merges(now, ctx);
     }
 
-    fn abort_flows(&mut self, t: &mut TaskInfo, now: SimTime) {
+    /// Abort `t`'s in-flight transfers. A mid-flight abort re-times the
+    /// component's remaining flows, so its wake moves with them.
+    fn abort_flows(&mut self, t: &mut TaskInfo, now: SimTime, ctx: &mut Ctx<Ev>) {
         if let Some((idx, flow)) = t.env_flow.take() {
             self.squids[idx].abort(now, flow);
             self.squid_flows[idx].remove(&flow);
+            self.reschedule_squid(idx, ctx);
         }
         if let Some(flow) = t.data_flow.take() {
             self.fed.abort(now, flow);
             self.fed_flows.remove(&flow);
+            self.reschedule_fed(ctx);
         }
     }
 
@@ -1810,7 +1806,7 @@ impl ClusterSim {
             if let Some((_, _, ev)) = t.watchdog.take() {
                 ctx.cancel(ev);
             }
-            self.abort_flows(&mut t, now);
+            self.abort_flows(&mut t, now, ctx);
             let report = t.report(id).evict(now);
             self.ingest(&report, t.wf);
             self.retry_or_dead_letter(id, t, FailureCode::Evicted, now, ctx);
@@ -2168,6 +2164,38 @@ pub(crate) mod tests {
             .spans()
             .iter()
             .any(|s| s.reason == LeaveReason::Evicted));
+    }
+
+    /// Squid and federation wakes always sit at their link's next
+    /// completion, including after an eviction aborts flows mid-transfer:
+    /// the survivors speed up, so a wake left at the old instant would
+    /// deliver them late. Steps an evicting run event by event.
+    #[test]
+    fn wakes_follow_their_links_through_evictions() {
+        let (mut cfg, params, wfs) = small_setup(
+            MergeMode::Interleaved,
+            AvailabilityModel::Exponential {
+                mean: SimDuration::from_hours(2),
+            },
+            OutageSchedule::none(),
+            200,
+        );
+        cfg.infra.wan_gbits = 0.2;
+        let mut engine = Engine::new(ClusterSim::new(cfg, params, wfs));
+        engine.prime(SimDuration::ZERO, Ev::Start);
+        while engine.step() {
+            let sim = engine.model_mut();
+            for (idx, squid) in sim.squids.iter_mut().enumerate() {
+                let due = squid.next_completion().map(|(at, _)| at);
+                assert_eq!(sim.squid_wake[idx].map(|(at, _)| at), due, "squid {idx}");
+            }
+            let due = sim.fed.next_completion().map(|(at, _)| at);
+            assert_eq!(sim.fed_wake.map(|(at, _)| at), due, "federation");
+            if sim.is_finished() {
+                break;
+            }
+        }
+        assert!(engine.model().db.counters().evictions > 0, "the run must evict");
     }
 
     /// Regression for a latent single-pool assumption: share-cap
