@@ -38,11 +38,17 @@ use simkit::queue::Grant;
 use simkit::stats::TimeSeries;
 use simnet::link::FlowId;
 use simnet::outage::OutageSchedule;
+use site::{Owner, Site};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::Path;
-use wqueue::sim::{DispatchBuffer, WorkerTable};
+use wqueue::sim::{DispatchBuffer, SimWorker, WorkerTable};
 use wqueue::task::{Category, DeadLetter, FailureCode, TaskId, TaskTimes};
+
+mod site;
+
+/// A Chirp read or write.
+type ChirpOp = fn(&mut ChirpServer, SimTime, u64) -> Result<Grant, ChirpDown>;
 
 /// Merge-task CPU per GB of merged data.
 const MERGE_CPU_PER_GB: SimDuration = SimDuration::from_mins(1);
@@ -220,12 +226,38 @@ struct TaskInfo {
     watchdog: Option<(u64, Segment, EventId)>,
 }
 
+/// The driver's part of a worker's row in the [`WorkerTable`]: everything
+/// an eviction has to undo, handed back whole by `disconnect`.
+#[derive(Default)]
+struct Worker {
+    /// Tasks running here, in dispatch order (eviction sorts them).
+    running: Vec<TaskId>,
+    /// The availability model's eviction, when it gave a finite life.
+    evict: Option<EventId>,
+    /// Consecutive environment-setup failures (slot-hold backoff input;
+    /// reset on the next env success here).
+    env_fail_streak: u32,
+    /// The alien-cache fill in flight on the worker's squid: its flow and
+    /// the tasks waiting on it.
+    fill: Option<(FlowId, Vec<TaskId>)>,
+}
+
+impl Worker {
+    /// Drop `id` from the running list; true when it was there.
+    fn forget(&mut self, id: TaskId) -> bool {
+        let pos = self.running.iter().position(|t| *t == id);
+        pos.map(|p| self.running.swap_remove(p)).is_some()
+    }
+}
+
 // Pinned: 48 bytes per queued task, 192 per dispatched one (an in-flight
-// record that carried a report builder and the ready fields took 248).
+// record that carried a report builder and the ready fields took 248),
+// 120 per connected worker (the slab holds a pointer to it).
 #[cfg(target_pointer_width = "64")]
 const _: () = {
     assert!(std::mem::size_of::<Ready>() == 48);
     assert!(std::mem::size_of::<TaskInfo>() == 192);
+    assert!(std::mem::size_of::<SimWorker<Worker>>() == 120);
 };
 
 impl TaskInfo {
@@ -266,6 +298,13 @@ impl TaskInfo {
             cpu: self.cpu,
             enqueued_at: at,
             attempt: self.attempt,
+        }
+    }
+
+    /// Cancel the armed watchdog, if any.
+    fn disarm(&mut self, ctx: &mut Ctx<Ev>) {
+        if let Some((_, _, ev)) = self.watchdog.take() {
+            ctx.cancel(ev);
         }
     }
 
@@ -412,29 +451,17 @@ pub struct ClusterSim {
     /// Failed tasks backing off before they re-enter a queue, woken by
     /// [`Ev::Requeue`].
     backoff: BTreeMap<TaskId, Ready>,
-    table: WorkerTable,
+    table: WorkerTable<Worker>,
     factory: WorkerFactory,
     pool: OpportunisticPool,
     pub(crate) log: WorkerLog,
-    worker_evict_ev: BTreeMap<u64, EventId>,
-    /// Tasks running per worker, indexed by dense worker id (push order;
-    /// eviction sorts the survivors so processing stays id-ordered).
-    running_on: Vec<Vec<TaskId>>,
     /// Total analysis tasklets across all workflows, fixed at start-up
     /// (the merge gate divides by it on every completion).
     analysis_units: u64,
     foremen: Vec<Server>,
-    squids: Vec<Squid>,
-    /// Per-squid pending wake: (instant, event).
-    squid_wake: Vec<Option<(SimTime, EventId)>>,
-    squid_flows: Vec<BTreeMap<FlowId, TaskId>>,
-    /// Per-squid: cold-fill flow → worker (alien-cache shared fills).
-    squid_fill_flows: Vec<BTreeMap<FlowId, u64>>,
-    /// Worker → (squid, fill flow, tasks waiting on the fill).
-    env_fill: BTreeMap<u64, (usize, FlowId, Vec<TaskId>)>,
-    fed: Federation,
-    fed_wake: Option<(SimTime, EventId)>,
-    fed_flows: BTreeMap<FlowId, TaskId>,
+    /// The squid proxies; worker `w` fetches through squid `w % len`.
+    squids: Vec<Site<Squid>>,
+    fed: Site<Federation>,
     chirp: ChirpServer,
     catalog: ReleaseFootprint,
     /// Finished outputs not yet claimed by any merge group, in finish
@@ -451,15 +478,12 @@ pub struct ClusterSim {
     sizers: Vec<AdaptiveSizer>,
     /// Monotone sequence distinguishing watchdog armings.
     watchdog_seq: u64,
-    /// Per-worker consecutive environment-setup failures (slot-hold
-    /// backoff input; reset on the next env success there).
-    env_fail_streak: BTreeMap<u64, u32>,
     /// Reused buffer for factory replenishment delays (one call per
     /// simulated minute; no per-tick Vec).
     scratch_delays: Vec<SimDuration>,
-    /// Reused buffer for link-completion draining (squid and federation
-    /// wakes run once per predicted completion; no per-wake Vec).
-    scratch_flows: Vec<FlowId>,
+    /// Reused buffer for completed flows and their owners (one squid or
+    /// federation wake fires per predicted completion; no per-wake Vec).
+    scratch_done: Vec<(FlowId, Owner)>,
     /// Recycled payload buffers for batched same-instant sandbox grants:
     /// a drained [`Ev::SandboxBatch`] returns its Vec here for the next
     /// dispatch round to refill.
@@ -598,7 +622,9 @@ impl ClusterSim {
             // simlint::allow(no-panic-in-lib): configuration error at sim construction
             panic!("invalid fault plan: {e}");
         }
-        let squids: Vec<Squid> = (0..n_squids).map(|_| Squid::new(params.squid)).collect();
+        let squids = (0..n_squids)
+            .map(|i| Site::new(Squid::new(params.squid), Ev::SquidWake, i))
+            .collect();
         let fed = Federation::new(FederationConfig {
             wan_bandwidth: simnet::units::gbit_per_s(cfg.infra.wan_gbits),
             per_stream_cap: params.wan_stream_cap,
@@ -636,22 +662,14 @@ impl ClusterSim {
             buffer: DispatchBuffer::new(),
             merge_queue: VecDeque::new(),
             backoff: BTreeMap::new(),
-            table: WorkerTable::new(),
+            table: WorkerTable::default(),
             factory,
             pool,
             log: WorkerLog::new(),
-            worker_evict_ev: BTreeMap::new(),
-            running_on: Vec::new(),
             analysis_units,
             foremen,
-            squid_wake: vec![None; n_squids],
-            squid_flows: (0..n_squids).map(|_| BTreeMap::new()).collect(),
-            squid_fill_flows: (0..n_squids).map(|_| BTreeMap::new()).collect(),
-            env_fill: BTreeMap::new(),
             squids,
-            fed,
-            fed_wake: None,
-            fed_flows: BTreeMap::new(),
+            fed: Site::new(fed, |_| Ev::FedWake, 0),
             chirp,
             catalog,
             planner,
@@ -661,9 +679,8 @@ impl ClusterSim {
             finished_at: None,
             sizers,
             watchdog_seq: 0,
-            env_fail_streak: BTreeMap::new(),
             scratch_delays: Vec::new(),
-            scratch_flows: Vec::new(),
+            scratch_done: Vec::new(),
             batch_pool: Vec::new(),
             consumer,
             dataset_warmth: BTreeMap::new(),
@@ -810,7 +827,7 @@ impl ClusterSim {
             timeline: monitor.timeline,
             analysis_done: monitor.analysis_done,
             merge_done: monitor.merge_done,
-            dashboard: self.fed.dashboard(),
+            dashboard: self.fed.link().dashboard(),
             worker_log,
             tasks_completed: counters.tasks_completed,
             tasks_failed: counters.tasks_failed,
@@ -996,11 +1013,9 @@ impl ClusterSim {
                     debug_assert!(false, "dispatched a task the db rejects: {e}");
                 }
             }
-            let rix = worker as usize;
-            if rix >= self.running_on.len() {
-                self.running_on.resize_with(rix + 1, Vec::new);
+            if let Some(w) = self.table.payload_mut(worker) {
+                w.running.push(id);
             }
-            self.running_on[rix].push(id);
             if !batch.is_empty() && batch_done != grant.done {
                 let full = std::mem::replace(&mut batch, self.batch_pool.pop().unwrap_or_default());
                 self.flush_sandbox_batch(batch_done, full, ctx);
@@ -1030,82 +1045,61 @@ impl ClusterSim {
             t.phase_started = now;
             t.worker
         };
-        self.arm_watchdog(id, Segment::EnvInit, None, ctx);
+        self.arm_watchdog(id, Segment::EnvInit, now, None, ctx);
         let hot = self.table.get(worker).map(|w| w.cache_hot).unwrap_or(false);
-        let squid_idx = (worker as usize) % self.squids.len();
-        if hot {
-            // Cheap re-validation + conditions payload, one per task.
-            let bytes = self.catalog.hot_bytes();
-            match self.squid_admit(squid_idx, now, bytes) {
-                Ok(flow) => {
-                    self.squid_flows[squid_idx].insert(flow, id);
-                    if let Some(t) = self.tasks.get_mut(id) {
-                        t.env_flow = Some((squid_idx, flow));
-                    }
-                    self.reschedule_squid(squid_idx, ctx);
-                }
-                Err(TimedOut) => self.fail_attempt(id, Segment::EnvInit, false, ctx),
-            }
-        } else if self.cfg.infra.alien_cache {
-            // Alien cache (§4.3): one cold fill per worker; concurrent
-            // tasks on the same worker *join* the in-flight fill instead
-            // of issuing their own.
-            if let Some((_, _, waiters)) = self.env_fill.get_mut(&worker) {
+        // Alien cache (§4.3): one cold fill per worker; concurrent tasks
+        // on the same worker *join* the in-flight fill instead of issuing
+        // their own. Without it every cold task pays the full fill into
+        // its own cache directory (Figure 6(b) economics), and a hot
+        // worker's task fetches only the cheap re-validation and
+        // conditions payload.
+        let shared = !hot && self.cfg.infra.alien_cache;
+        if shared {
+            if let Some((_, waiters)) = self.table.payload_mut(worker).and_then(|w| w.fill.as_mut())
+            {
                 waiters.push(id);
                 return;
             }
-            let bytes = self.catalog.total_bytes();
-            match self.squid_admit(squid_idx, now, bytes) {
-                Ok(flow) => {
-                    self.squid_fill_flows[squid_idx].insert(flow, worker);
-                    self.env_fill.insert(worker, (squid_idx, flow, vec![id]));
-                    self.reschedule_squid(squid_idx, ctx);
-                }
-                Err(TimedOut) => self.fail_attempt(id, Segment::EnvInit, false, ctx),
+        }
+        let (bytes, owner) = match (hot, shared) {
+            (true, _) => (self.catalog.hot_bytes(), Owner::Task(id)),
+            (false, true) => (self.catalog.total_bytes(), Owner::Fill(worker)),
+            (false, false) => (self.catalog.total_bytes(), Owner::Task(id)),
+        };
+        let squid = (worker as usize) % self.squids.len();
+        let rng = &mut self.rng;
+        let admitted = self.squids[squid].admit(owner, ctx, |proxy| {
+            // An injected failure probability is drawn first: the fault
+            // layer models proxies that drop connections outright.
+            let p = proxy.fault().failure_prob();
+            if p > 0.0 && rng.chance(p) {
+                return Err(TimedOut);
             }
-        } else {
-            // No alien cache: every task pays the full cold fill into its
-            // own cache directory (Figure 6(b) economics).
-            let bytes = self.catalog.total_bytes();
-            match self.squid_admit(squid_idx, now, bytes) {
-                Ok(flow) => {
-                    self.squid_flows[squid_idx].insert(flow, id);
-                    if let Some(t) = self.tasks.get_mut(id) {
-                        t.env_flow = Some((squid_idx, flow));
-                    }
-                    self.reschedule_squid(squid_idx, ctx);
+            proxy.request(now, bytes)
+        });
+        match admitted {
+            Ok(flow) if shared => {
+                if let Some(w) = self.table.payload_mut(worker) {
+                    w.fill = Some((flow, vec![id]));
                 }
-                Err(TimedOut) => self.fail_attempt(id, Segment::EnvInit, false, ctx),
             }
+            Ok(flow) => {
+                if let Some(t) = self.tasks.get_mut(id) {
+                    t.env_flow = Some((squid, flow));
+                }
+            }
+            Err(TimedOut) => self.fail_attempt(id, Segment::EnvInit, false, ctx),
         }
     }
 
-    /// Squid request with any injected failure probability applied first
-    /// (the fault layer models proxies that drop connections outright).
-    fn squid_admit(&mut self, idx: usize, now: SimTime, bytes: u64) -> Result<FlowId, TimedOut> {
-        let p = self.squids[idx].fault().failure_prob();
-        if p > 0.0 && self.rng.chance(p) {
-            return Err(TimedOut);
-        }
-        self.squids[idx].request(now, bytes)
-    }
-
-    /// Chirp read with any injected failure probability applied first.
-    fn chirp_admit_get(&mut self, now: SimTime, bytes: u64) -> Result<Grant, ChirpDown> {
+    /// Chirp read or write (`op`) with any injected failure probability
+    /// applied first.
+    fn chirp_admit(&mut self, now: SimTime, bytes: u64, op: ChirpOp) -> Result<Grant, ChirpDown> {
         let p = self.chirp.fault().failure_prob();
         if p > 0.0 && self.rng.chance(p) {
             return Err(ChirpDown);
         }
-        self.chirp.try_get(now, bytes)
-    }
-
-    /// Chirp write with any injected failure probability applied first.
-    fn chirp_admit_put(&mut self, now: SimTime, bytes: u64) -> Result<Grant, ChirpDown> {
-        let p = self.chirp.fault().failure_prob();
-        if p > 0.0 && self.rng.chance(p) {
-            return Err(ChirpDown);
-        }
-        self.chirp.try_put(now, bytes)
+        op(&mut self.chirp, now, bytes)
     }
 
     // ----- segment watchdogs -------------------------------------------------
@@ -1133,7 +1127,7 @@ impl ClusterSim {
     /// first, so it is delivered first, wins a tie, and moves the task on.
     /// Such a watchdog is not scheduled, which spares the queue a slot
     /// and the tombstone its cancellation would leave.
-    fn arm_watchdog_from(
+    fn arm_watchdog(
         &mut self,
         id: TaskId,
         segment: Segment,
@@ -1145,9 +1139,7 @@ impl ClusterSim {
         let Some(t) = self.tasks.get_mut(id) else {
             return;
         };
-        if let Some((_, _, ev)) = t.watchdog.take() {
-            ctx.cancel(ev);
-        }
+        t.disarm(ctx);
         let Some(dl) = deadline else { return };
         if completes.is_some_and(|done| done <= from + dl) {
             return;
@@ -1156,27 +1148,6 @@ impl ClusterSim {
         let seq = self.watchdog_seq;
         let ev = ctx.schedule_at(from + dl, Ev::Deadline(id, seq));
         t.watchdog = Some((seq, segment, ev));
-    }
-
-    /// Arm `id`'s watchdog for `segment`, measured from now, ahead of a
-    /// completion scheduled at `completes` if there is one.
-    fn arm_watchdog(
-        &mut self,
-        id: TaskId,
-        segment: Segment,
-        completes: Option<SimTime>,
-        ctx: &mut Ctx<Ev>,
-    ) {
-        self.arm_watchdog_from(id, segment, ctx.now(), completes, ctx);
-    }
-
-    /// Cancel `id`'s armed watchdog, if any.
-    fn disarm_watchdog(&mut self, id: TaskId, ctx: &mut Ctx<Ev>) {
-        if let Some(t) = self.tasks.get_mut(id) {
-            if let Some((_, _, ev)) = t.watchdog.take() {
-                ctx.cancel(ev);
-            }
-        }
     }
 
     fn on_deadline(&mut self, id: TaskId, seq: u64, ctx: &mut Ctx<Ev>) {
@@ -1195,69 +1166,54 @@ impl ClusterSim {
         self.fail_attempt(id, segment, true, ctx);
     }
 
-    fn reschedule_squid(&mut self, idx: usize, ctx: &mut Ctx<Ev>) {
-        if let Some((_, ev)) = self.squid_wake[idx].take() {
-            ctx.cancel(ev);
-        }
-        if let Some((when, _)) = self.squids[idx].next_completion() {
-            self.squid_wake[idx] = Some((when, ctx.schedule_at(when, Ev::SquidWake(idx))));
-        }
-    }
-
     fn on_squid_wake(&mut self, idx: usize, ctx: &mut Ctx<Ev>) {
-        let now = ctx.now();
-        self.squid_wake[idx] = None;
-        // Drain into the reused scratch buffer — one squid wake fires per
-        // predicted completion, so this path is allocation-free.
-        let mut done = std::mem::take(&mut self.scratch_flows);
-        self.squids[idx].completions_into(now, &mut done);
-        for &flow in &done {
-            if let Some(worker) = self.squid_fill_flows[idx].remove(&flow) {
+        let mut done = std::mem::take(&mut self.scratch_done);
+        self.squids[idx].complete(&mut done, ctx);
+        for &(_, owner) in &done {
+            match owner {
+                Owner::Task(id) => self.env_ready(id, None, ctx),
                 // A shared cold fill finished: the worker is hot and every
                 // waiting task proceeds.
-                self.table.set_cache_hot(worker);
-                self.env_fail_streak.remove(&worker);
-                let waiters = self
-                    .env_fill
-                    .remove(&worker)
-                    .map(|(_, _, w)| w)
-                    .unwrap_or_default();
-                for id in waiters {
-                    let Some(t) = self.tasks.get_mut(id) else {
-                        continue;
-                    };
-                    if t.phase != Phase::EnvSetup || t.worker != worker {
-                        continue;
+                Owner::Fill(worker) => {
+                    self.table.set_cache_hot(worker);
+                    let fill = self.table.payload_mut(worker).and_then(|w| {
+                        w.env_fail_streak = 0;
+                        w.fill.take()
+                    });
+                    for id in fill.map(|(_, waiters)| waiters).unwrap_or_default() {
+                        self.env_ready(id, Some(worker), ctx);
                     }
-                    t.times.env_setup = now - t.phase_started;
-                    self.begin_data_phase(id, ctx);
                 }
-                continue;
             }
-            let Some(id) = self.squid_flows[idx].remove(&flow) else {
-                continue;
-            };
-            let Some(t) = self.tasks.get_mut(id) else {
-                continue;
-            };
-            if t.phase != Phase::EnvSetup {
-                continue;
-            }
-            t.env_flow = None;
-            t.times.env_setup = now - t.phase_started;
-            self.env_fail_streak.remove(&t.worker);
-            self.begin_data_phase(id, ctx);
         }
-        self.scratch_flows = done;
-        self.reschedule_squid(idx, ctx);
+        self.scratch_done = done;
+    }
+
+    /// `id`'s environment is in place, from its own fetch or from the
+    /// alien-cache fill of worker `filled` that it waits on there: reset
+    /// its worker's failure streak and go on to the data phase.
+    fn env_ready(&mut self, id: TaskId, filled: Option<u64>, ctx: &mut Ctx<Ev>) {
+        let Some(t) = self.tasks.get_mut(id) else {
+            return;
+        };
+        if t.phase != Phase::EnvSetup || filled.is_some_and(|w| w != t.worker) {
+            return;
+        }
+        t.env_flow = None;
+        t.times.env_setup = ctx.now() - t.phase_started;
+        let worker = t.worker;
+        if let Some(w) = self.table.payload_mut(worker) {
+            w.env_fail_streak = 0;
+        }
+        self.begin_data_phase(id, ctx);
     }
 
     fn begin_data_phase(&mut self, id: TaskId, ctx: &mut Ctx<Ev>) {
         let now = ctx.now();
-        self.disarm_watchdog(id, ctx);
         let Some(t) = self.tasks.get_mut(id) else {
             return;
         };
+        t.disarm(ctx);
         t.phase = Phase::Exec;
         t.phase_started = now;
         let (wf, kind, input, cpu, category, attempt) = (
@@ -1271,17 +1227,12 @@ impl ClusterSim {
         let streaming = kind == WorkloadKind::DataProcessing
             && self.cfg.access == DataAccessMode::Stream
             && category != Category::Merge;
-        if input == 0 {
-            // Pure generation: straight to execution.
-            t.times.cpu = cpu;
-            ctx.schedule(cpu, Ev::ExecDone(id, attempt));
-            self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
-        } else if kind == WorkloadKind::Simulation || category == Category::Merge {
+        if input > 0 && (kind == WorkloadKind::Simulation || category == Category::Merge) {
             // Input staged from *local* storage via Chirp: the pile-up
             // overlay for simulation tasks (§6), and the already
             // staged-out analysis outputs for merge tasks (§4.4) — merge
             // inputs never cross the WAN.
-            match self.chirp_admit_get(now, input) {
+            match self.chirp_admit(now, input, ChirpServer::try_get) {
                 Ok(grant) => {
                     let Some(t) = self.tasks.get_mut(id) else {
                         return;
@@ -1289,111 +1240,89 @@ impl ClusterSim {
                     t.phase = Phase::Data;
                     t.times.stage_in = grant.done - now;
                     ctx.schedule_at(grant.done, Ev::DataStaged(id, attempt));
-                    self.arm_watchdog(id, Segment::StageIn, Some(grant.done), ctx);
+                    self.arm_watchdog(id, Segment::StageIn, now, Some(grant.done), ctx);
                 }
                 Err(ChirpDown) => self.fail_attempt(id, Segment::StageIn, false, ctx),
             }
-        } else {
-            // WAN-bound stage-in. Under multi-tenancy the shared squids /
-            // alien caches may already hold a fraction of this dataset
-            // because *another* tenant pulled it; only the cold remainder
-            // crosses the WAN (cross-tenant cache economics). The warmth
-            // map is empty for a solo master, leaving `wan_input == input`.
-            let ds = &self.cfg.workflows[wf].dataset;
-            let warm = self
-                .dataset_warmth
-                .get(ds)
-                .copied()
-                .unwrap_or(0.0)
-                .clamp(0.0, 1.0);
-            let warm_bytes = ((input as f64) * warm) as u64;
-            let wan_input = input.saturating_sub(warm_bytes);
-            if wan_input > 0 {
-                *self.wan_by_dataset.entry(ds.clone()).or_insert(0) += wan_input;
-            }
-            if wan_input == 0 {
-                // Fully warm: the shared cache serves the whole stage-in
-                // locally — straight to execution, like pure generation.
-                let Some(t) = self.tasks.get_mut(id) else {
-                    return;
-                };
-                t.times.cpu = cpu;
-                ctx.schedule(cpu, Ev::ExecDone(id, attempt));
-                self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
-            } else if streaming {
-                // XrootD stream: execution overlaps the WAN transfer.
-                match self.fed.open(now, &self.consumer, wan_input, &mut self.rng) {
-                    Ok(flow) => {
-                        self.fed_flows.insert(flow, id);
-                        let Some(t) = self.tasks.get_mut(id) else {
-                            return;
-                        };
-                        t.data_flow = Some(flow);
-                        t.times.stage_in = AccessTiming::STREAM_OPEN;
-                        t.times.cpu = cpu;
-                        self.reschedule_fed(ctx);
-                        // The stage-in watchdog covers the whole stream: a
-                        // blackout that freezes the WAN mid-transfer would
-                        // otherwise pin this slot to the horizon.
-                        self.arm_watchdog(id, Segment::StageIn, None, ctx);
-                    }
-                    Err(_) => self.fail_attempt(id, Segment::StageIn, false, ctx),
-                }
-            } else {
-                // Staged remote input (Chirp or WQ transfer, §4.2): the data
-                // crosses the same WAN, but the file must fully land before
-                // execution starts — no compute/transfer overlap. This is the
-                // penalty Figure 4 charges against staging.
-                match self.fed.open(now, &self.consumer, wan_input, &mut self.rng) {
-                    Ok(flow) => {
-                        self.fed_flows.insert(flow, id);
-                        let Some(t) = self.tasks.get_mut(id) else {
-                            return;
-                        };
-                        t.data_flow = Some(flow);
-                        t.phase = Phase::Data;
-                        self.arm_watchdog(id, Segment::StageIn, None, ctx);
-                    }
-                    Err(_) => self.fail_attempt(id, Segment::StageIn, false, ctx),
-                }
-                self.reschedule_fed(ctx);
-            }
+            return;
         }
+        // WAN-bound stage-in. Under multi-tenancy the shared squids /
+        // alien caches may already hold a fraction of this dataset because
+        // *another* tenant pulled it; only the cold remainder crosses the
+        // WAN (cross-tenant cache economics). The warmth map is empty for a
+        // solo master, leaving `wan_input == input`.
+        let ds = &self.cfg.workflows[wf].dataset;
+        let warm = self
+            .dataset_warmth
+            .get(ds)
+            .copied()
+            .unwrap_or(0.0)
+            .clamp(0.0, 1.0);
+        let warm_bytes = ((input as f64) * warm) as u64;
+        let wan_input = input.saturating_sub(warm_bytes);
+        if wan_input == 0 {
+            // Pure generation, or fully warm (the shared cache serves the
+            // whole stage-in locally): straight to execution.
+            return self.start_exec(id, ctx);
+        }
+        *self.wan_by_dataset.entry(ds.clone()).or_insert(0) += wan_input;
+        let (consumer, rng) = (&self.consumer, &mut self.rng);
+        let opened = self.fed.admit(Owner::Task(id), ctx, |fed| {
+            fed.open(now, consumer, wan_input, rng)
+        });
+        let Ok(flow) = opened else {
+            return self.fail_attempt(id, Segment::StageIn, false, ctx);
+        };
+        let Some(t) = self.tasks.get_mut(id) else {
+            return;
+        };
+        t.data_flow = Some(flow);
+        if streaming {
+            // XrootD stream: execution overlaps the WAN transfer.
+            t.times.stage_in = AccessTiming::STREAM_OPEN;
+            t.times.cpu = cpu;
+        } else {
+            // Staged remote input (Chirp or WQ transfer, §4.2): the data
+            // crosses the same WAN, but the file must fully land before
+            // execution starts — no compute/transfer overlap. This is the
+            // penalty Figure 4 charges against staging.
+            t.phase = Phase::Data;
+        }
+        // The stage-in watchdog covers the whole transfer: a blackout that
+        // freezes the WAN mid-transfer would otherwise pin this slot to the
+        // horizon.
+        self.arm_watchdog(id, Segment::StageIn, now, None, ctx);
     }
 
-    /// A Chirp-staged input landed: start the CPU clock.
-    fn on_data_staged(&mut self, id: TaskId, attempt: u32, ctx: &mut Ctx<Ev>) {
+    /// Start `id`'s execution now: its CPU time runs to an
+    /// [`Ev::ExecDone`], under the Execute watchdog.
+    fn start_exec(&mut self, id: TaskId, ctx: &mut Ctx<Ev>) {
         let now = ctx.now();
         let Some(t) = self.tasks.get_mut(id) else {
             return;
         };
-        if t.phase != Phase::Data || t.attempt != attempt {
-            return;
-        }
         t.phase = Phase::Exec;
         t.phase_started = now;
-        let cpu = t.cpu;
-        t.times.cpu = cpu;
-        ctx.schedule(cpu, Ev::ExecDone(id, attempt));
-        self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
+        t.times.cpu = t.cpu;
+        ctx.schedule(t.cpu, Ev::ExecDone(id, t.attempt));
+        let done = now + t.cpu;
+        self.arm_watchdog(id, Segment::Execute, now, Some(done), ctx);
     }
 
-    fn reschedule_fed(&mut self, ctx: &mut Ctx<Ev>) {
-        if let Some((_, ev)) = self.fed_wake.take() {
-            ctx.cancel(ev);
-        }
-        if let Some((when, _)) = self.fed.next_completion() {
-            self.fed_wake = Some((when, ctx.schedule_at(when, Ev::FedWake)));
+    /// A Chirp-staged input landed: start the CPU clock.
+    fn on_data_staged(&mut self, id: TaskId, attempt: u32, ctx: &mut Ctx<Ev>) {
+        match self.tasks.get(id) {
+            Some(t) if t.phase == Phase::Data && t.attempt == attempt => self.start_exec(id, ctx),
+            _ => {}
         }
     }
 
     fn on_fed_wake(&mut self, ctx: &mut Ctx<Ev>) {
         let now = ctx.now();
-        self.fed_wake = None;
-        let mut done = std::mem::take(&mut self.scratch_flows);
-        self.fed.completions_into(now, &mut done);
-        for &flow in &done {
-            let Some(id) = self.fed_flows.remove(&flow) else {
+        let mut done = std::mem::take(&mut self.scratch_done);
+        self.fed.complete(&mut done, ctx);
+        for &(flow, owner) in &done {
+            let Owner::Task(id) = owner else {
                 continue;
             };
             let Some(t) = self.tasks.get_mut(id) else {
@@ -1416,25 +1345,18 @@ impl ClusterSim {
                     // execute deadline, measured from the segment entry
                     // (stream open). Completion is scheduled first, so a
                     // deadline landing no later than it is not armed.
-                    self.arm_watchdog_from(id, Segment::Execute, started, Some(end), ctx);
+                    self.arm_watchdog(id, Segment::Execute, started, Some(end), ctx);
                 }
                 Phase::Data => {
                     t.data_flow = None;
                     // Staged: the file landed; execution starts now.
-                    let stage_in = now - t.phase_started;
-                    t.phase = Phase::Exec;
-                    t.phase_started = now;
-                    t.times.stage_in = AccessTiming::STAGE_SETUP + stage_in;
-                    t.times.cpu = t.cpu;
-                    let (attempt, cpu) = (t.attempt, t.cpu);
-                    ctx.schedule_at(now + cpu, Ev::ExecDone(id, attempt));
-                    self.arm_watchdog(id, Segment::Execute, Some(now + cpu), ctx);
+                    t.times.stage_in = AccessTiming::STAGE_SETUP + (now - t.phase_started);
+                    self.start_exec(id, ctx);
                 }
                 _ => {}
             }
         }
-        self.scratch_flows = done;
-        self.reschedule_fed(ctx);
+        self.scratch_done = done;
     }
 
     fn on_exec_done(&mut self, id: TaskId, attempt: u32, ctx: &mut Ctx<Ev>) {
@@ -1450,32 +1372,30 @@ impl ClusterSim {
             t.phase_started = now;
             t.output_bytes
         };
-        match self.chirp_admit_put(now, output) {
+        match self.chirp_admit(now, output, ChirpServer::try_put) {
             Ok(grant) => {
                 let Some(t) = self.tasks.get_mut(id) else {
                     return;
                 };
                 t.times.stage_out = grant.done - now;
                 ctx.schedule_at(grant.done, Ev::StageOutDone(id, attempt));
-                self.arm_watchdog(id, Segment::StageOut, Some(grant.done), ctx);
+                self.arm_watchdog(id, Segment::StageOut, now, Some(grant.done), ctx);
             }
             Err(ChirpDown) => self.fail_attempt(id, Segment::StageOut, false, ctx),
         }
     }
 
     fn on_stage_out_done(&mut self, id: TaskId, attempt: u32, ctx: &mut Ctx<Ev>) {
-        {
-            let Some(t) = self.tasks.get_mut(id) else {
-                return;
-            };
-            if t.phase != Phase::StageOut || t.attempt != attempt {
-                return;
-            }
-            t.phase = Phase::Collect;
-            t.times.wq_stage_out = self.params.wq_collect;
+        let Some(t) = self.tasks.get_mut(id) else {
+            return;
+        };
+        if t.phase != Phase::StageOut || t.attempt != attempt {
+            return;
         }
+        t.phase = Phase::Collect;
+        t.times.wq_stage_out = self.params.wq_collect;
         ctx.schedule(self.params.wq_collect, Ev::CollectDone(id, attempt));
-        self.disarm_watchdog(id, ctx);
+        t.disarm(ctx);
     }
 
     fn on_collect_done(&mut self, id: TaskId, attempt: u32, ctx: &mut Ctx<Ev>) {
@@ -1487,9 +1407,7 @@ impl ClusterSim {
         let Some(mut t) = self.tasks.remove(id) else {
             return;
         };
-        if let Some((_, _, ev)) = t.watchdog.take() {
-            ctx.cancel(ev);
-        }
+        t.disarm(ctx);
         let report = t.report(id).succeed(now, t.output_bytes);
         self.release_task_slot(t.worker, id);
         self.ingest(&report, t.wf);
@@ -1575,8 +1493,7 @@ impl ClusterSim {
         }
     }
 
-    fn on_hadoop_group_done(&mut self, gi: usize, ctx: &mut Ctx<Ev>) {
-        let now = ctx.now();
+    fn on_hadoop_group_done(&mut self, gi: usize, now: SimTime) {
         // Each group completes exactly once; take it instead of cloning.
         let group = std::mem::take(&mut self.hadoop_groups[gi]);
         let ids: Vec<TaskId> = group.inputs.iter().map(|i| i.0).collect();
@@ -1589,7 +1506,6 @@ impl ClusterSim {
         }
         self.monitor.mark_merge(now);
         self.check_finished(now);
-        let _ = ctx;
     }
 
     // ----- failure & eviction ------------------------------------------------
@@ -1604,36 +1520,24 @@ impl ClusterSim {
         let Some(mut t) = self.tasks.remove(id) else {
             return;
         };
-        if let Some((_, _, ev)) = t.watchdog.take() {
-            ctx.cancel(ev);
-        }
+        self.abort_attempt(id, &mut t, ctx);
         let worker = t.worker;
-        // A task waiting on a shared alien-cache fill holds no flow of
-        // its own; drop it from the fill's waiter list (killing the fill
-        // when it was the last waiter).
-        if t.phase == Phase::EnvSetup {
-            self.scrub_env_fill(id, worker, now, ctx);
-        }
         if segment == Segment::EnvInit {
             // The proxy tier is overloaded: hold the slot back instead of
             // immediately re-dispatching into the same congestion (the
             // client-side retry backoff of §6). The hold grows with the
             // worker's consecutive env failures, per the retry policy.
-            if let Some(list) = self.running_on.get_mut(worker as usize) {
-                if let Some(pos) = list.iter().position(|t| *t == id) {
-                    list.swap_remove(pos);
-                }
-            }
-            let streak = self.env_fail_streak.entry(worker).or_insert(0);
-            *streak += 1;
-            let failures = *streak;
+            let failures = self.table.payload_mut(worker).map_or(1, |w| {
+                w.forget(id);
+                w.env_fail_streak += 1;
+                w.env_fail_streak
+            });
             let hold = self.cfg.retry.slot_hold.delay(failures, &mut self.rng);
             self.db.record_backoff(hold);
             ctx.schedule(hold, Ev::SlotFree(worker));
         } else {
             self.release_task_slot(worker, id);
         }
-        self.abort_flows(&mut t, now, ctx);
         let report = if by_watchdog {
             t.report(id).abort_by_watchdog(segment, now)
         } else {
@@ -1645,19 +1549,30 @@ impl ClusterSim {
         self.dispatch(ctx);
     }
 
-    /// Remove `id` from its worker's shared cold-fill waiters; when it
-    /// was the last waiter, abort the fill itself.
-    fn scrub_env_fill(&mut self, id: TaskId, worker: u64, now: SimTime, ctx: &mut Ctx<Ev>) {
-        let Some((idx, flow, waiters)) = self.env_fill.get_mut(&worker) else {
-            return;
-        };
-        waiters.retain(|w| *w != id);
-        if waiters.is_empty() {
-            let (idx, flow) = (*idx, *flow);
-            self.env_fill.remove(&worker);
-            self.squids[idx].abort(now, flow);
-            self.squid_fill_flows[idx].remove(&flow);
-            self.reschedule_squid(idx, ctx);
+    /// Undo what `t`'s attempt holds besides its slot: the armed
+    /// watchdog, its place among its worker's alien-cache fill waiters
+    /// (aborting the fill when it was the last), and its own squid and
+    /// WAN flows. The one abort path of failure and eviction.
+    fn abort_attempt(&mut self, id: TaskId, t: &mut TaskInfo, ctx: &mut Ctx<Ev>) {
+        t.disarm(ctx);
+        if t.phase == Phase::EnvSetup {
+            let squid = (t.worker as usize) % self.squids.len();
+            if let Some(w) = self.table.payload_mut(t.worker) {
+                if let Some((flow, waiters)) = &mut w.fill {
+                    waiters.retain(|waiter| *waiter != id);
+                    if waiters.is_empty() {
+                        let flow = *flow;
+                        w.fill = None;
+                        self.squids[squid].abort(flow, ctx);
+                    }
+                }
+            }
+        }
+        if let Some((squid, flow)) = t.env_flow.take() {
+            self.squids[squid].abort(flow, ctx);
+        }
+        if let Some(flow) = t.data_flow.take() {
+            self.fed.abort(flow, ctx);
         }
     }
 
@@ -1734,21 +1649,6 @@ impl ClusterSim {
         self.maybe_plan_merges(now, ctx);
     }
 
-    /// Abort `t`'s in-flight transfers. A mid-flight abort re-times the
-    /// component's remaining flows, so its wake moves with them.
-    fn abort_flows(&mut self, t: &mut TaskInfo, now: SimTime, ctx: &mut Ctx<Ev>) {
-        if let Some((idx, flow)) = t.env_flow.take() {
-            self.squids[idx].abort(now, flow);
-            self.squid_flows[idx].remove(&flow);
-            self.reschedule_squid(idx, ctx);
-        }
-        if let Some(flow) = t.data_flow.take() {
-            self.fed.abort(now, flow);
-            self.fed_flows.remove(&flow);
-            self.reschedule_fed(ctx);
-        }
-    }
-
     /// Return a task's work to the system after a failed attempt under
     /// the unbounded (legacy) retry policy.
     fn requeue(&mut self, id: TaskId, t: TaskInfo, now: SimTime) {
@@ -1764,49 +1664,38 @@ impl ClusterSim {
     }
 
     fn release_task_slot(&mut self, worker: u64, id: TaskId) {
-        if let Some(list) = self.running_on.get_mut(worker as usize) {
-            if let Some(pos) = list.iter().position(|t| *t == id) {
-                list.swap_remove(pos);
-                self.table.release_slot(worker);
-            }
+        if self.table.payload_mut(worker).is_some_and(|w| w.forget(id)) {
+            self.table.release_slot(worker);
         }
     }
 
     fn evict_worker(&mut self, worker: u64, release_pool: bool, ctx: &mut Ctx<Ev>) {
         let now = ctx.now();
-        let Some(w) = self.table.disconnect(worker) else {
+        let Some(gone) = self.table.disconnect(worker) else {
             return;
         };
-        if let Some(ev) = self.worker_evict_ev.remove(&worker) {
+        let mut w = gone.payload;
+        if let Some(ev) = w.evict {
             ctx.cancel(ev);
         }
         self.log.leave(worker, now, LeaveReason::Evicted);
         self.factory.on_exit();
         if release_pool {
-            self.pool.release(w.cores);
+            self.pool.release(gone.cores);
         }
         // Abort the worker's shared cold fill, if one is in flight.
-        if let Some((idx, flow, _)) = self.env_fill.remove(&worker) {
-            self.squids[idx].abort(now, flow);
-            self.squid_fill_flows[idx].remove(&flow);
-            self.reschedule_squid(idx, ctx);
+        if let Some((flow, _)) = w.fill {
+            let squid = (worker as usize) % self.squids.len();
+            self.squids[squid].abort(flow, ctx);
         }
-        self.env_fail_streak.remove(&worker);
-        let mut victims = match self.running_on.get_mut(worker as usize) {
-            Some(list) => std::mem::take(list),
-            None => Vec::new(),
-        };
-        // Per-worker lists are in dispatch order; process in id order so
+        // The running list is in dispatch order; process in id order so
         // eviction fallout is independent of that order.
-        victims.sort_unstable();
-        for id in victims {
+        w.running.sort_unstable();
+        for id in w.running {
             let Some(mut t) = self.tasks.remove(id) else {
                 continue;
             };
-            if let Some((_, _, ev)) = t.watchdog.take() {
-                ctx.cancel(ev);
-            }
-            self.abort_flows(&mut t, now, ctx);
+            self.abort_attempt(id, &mut t, ctx);
             let report = t.report(id).evict(now);
             self.ingest(&report, t.wf);
             self.retry_or_dead_letter(id, t, FailureCode::Evicted, now, ctx);
@@ -1831,7 +1720,9 @@ impl ClusterSim {
         let survival = self.params.availability.sample(&mut self.rng);
         if survival < SimDuration::MAX {
             let ev = ctx.schedule(survival, Ev::WorkerEvict(id));
-            self.worker_evict_ev.insert(id, ev);
+            if let Some(w) = self.table.payload_mut(id) {
+                w.evict = Some(ev);
+            }
         }
         self.dispatch(ctx);
     }
@@ -1864,18 +1755,14 @@ impl ClusterSim {
             return;
         }
         let plan = self.params.faults.clone();
-        for idx in 0..self.squids.len() {
-            let (cf, fp) = plan.state(FaultTarget::Squid { index: idx }, now);
-            if self.squids[idx].set_fault(now, cf, fp) {
-                self.reschedule_squid(idx, ctx);
-            }
+        for (index, squid) in self.squids.iter_mut().enumerate() {
+            let (cf, fp) = plan.state(FaultTarget::Squid { index }, now);
+            squid.update(ctx, |proxy| proxy.set_fault(now, cf, fp));
         }
         let (cf, fp) = plan.state(FaultTarget::Chirp, now);
         self.chirp.set_fault(cf, fp);
         let (cf, fp) = plan.state(FaultTarget::Federation, now);
-        if self.fed.set_fault(now, cf, fp) {
-            self.reschedule_fed(ctx);
-        }
+        self.fed.update(ctx, |fed| fed.set_fault(now, cf, fp));
         if let Some(t) = plan.next_transition(now) {
             ctx.schedule_at(t, Ev::FaultWake);
         }
@@ -1904,7 +1791,7 @@ impl Model for ClusterSim {
                 self.refill_buffer(ctx.now());
                 ctx.schedule(SimDuration::ZERO, Ev::Replenish);
                 ctx.schedule(self.pool.tick_interval(), Ev::PoolTick);
-                if let Some(t) = self.fed.next_outage_transition(ctx.now()) {
+                if let Some(t) = self.fed.link().next_outage_transition(ctx.now()) {
                     ctx.schedule_at(t, Ev::OutageWake);
                 }
                 self.apply_faults(ctx.now(), ctx);
@@ -1971,9 +1858,11 @@ impl Model for ClusterSim {
             Ev::FedWake => self.on_fed_wake(ctx),
             Ev::OutageWake => {
                 let now = ctx.now();
-                self.fed.apply_outage(now);
-                self.reschedule_fed(ctx);
-                if let Some(t) = self.fed.next_outage_transition(now) {
+                self.fed.update(ctx, |fed| {
+                    fed.apply_outage(now);
+                    true
+                });
+                if let Some(t) = self.fed.link().next_outage_transition(now) {
                     ctx.schedule_at(t, Ev::OutageWake);
                 }
             }
@@ -1982,7 +1871,7 @@ impl Model for ClusterSim {
             Ev::ExecDone(id, a) => self.on_exec_done(id, a, ctx),
             Ev::StageOutDone(id, a) => self.on_stage_out_done(id, a, ctx),
             Ev::CollectDone(id, a) => self.on_collect_done(id, a, ctx),
-            Ev::HadoopGroupDone(g) => self.on_hadoop_group_done(g, ctx),
+            Ev::HadoopGroupDone(g) => self.on_hadoop_group_done(g, ctx.now()),
             Ev::SlotFree(worker) => {
                 self.table.release_slot(worker);
                 self.dispatch(ctx);
@@ -2186,16 +2075,19 @@ pub(crate) mod tests {
         while engine.step() {
             let sim = engine.model_mut();
             for (idx, squid) in sim.squids.iter_mut().enumerate() {
-                let due = squid.next_completion().map(|(at, _)| at);
-                assert_eq!(sim.squid_wake[idx].map(|(at, _)| at), due, "squid {idx}");
+                let (wake, due) = squid.wake_and_due();
+                assert_eq!(wake, due, "squid {idx}");
             }
-            let due = sim.fed.next_completion().map(|(at, _)| at);
-            assert_eq!(sim.fed_wake.map(|(at, _)| at), due, "federation");
+            let (wake, due) = sim.fed.wake_and_due();
+            assert_eq!(wake, due, "federation");
             if sim.is_finished() {
                 break;
             }
         }
-        assert!(engine.model().db.counters().evictions > 0, "the run must evict");
+        assert!(
+            engine.model().db.counters().evictions > 0,
+            "the run must evict"
+        );
     }
 
     /// Regression for a latent single-pool assumption: share-cap

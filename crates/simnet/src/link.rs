@@ -16,6 +16,9 @@
 //!
 //! The caller owns event scheduling: after any mutation, re-ask
 //! [`FairLink::next_completion`] and (re)schedule an engine event there.
+//! In the cluster driver that caller is `lobster::driver`'s `Site`, which
+//! owns each squid's and the federation's link together with its pending
+//! wake, and re-times the wake inside every method that mutates the link.
 
 use simkit::time::{SimDuration, SimTime};
 use std::cmp::Reverse;

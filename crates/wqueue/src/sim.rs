@@ -69,9 +69,10 @@ impl IdBitSet {
     }
 }
 
-/// Master-side record of one simulated worker.
+/// Master-side record of one simulated worker, with whatever the master
+/// keeps per worker beside it (`payload`, nothing by default).
 #[derive(Clone, Debug)]
-pub struct SimWorker {
+pub struct SimWorker<T = ()> {
     /// Worker identity.
     pub id: u64,
     /// Slots (cores) it manages.
@@ -85,9 +86,12 @@ pub struct SimWorker {
     pub connected_at: SimTime,
     /// Which foreman it connects through (index into the foreman rank).
     pub foreman: usize,
+    /// The master's own per-worker state, handed back whole by
+    /// [`WorkerTable::disconnect`].
+    pub payload: T,
 }
 
-impl SimWorker {
+impl<T> SimWorker<T> {
     /// Free slots.
     pub fn free(&self) -> u32 {
         self.cores - self.busy
@@ -99,11 +103,12 @@ impl SimWorker {
 /// Free workers are indexed in two bitsets split by cache temperature so a
 /// claim stays cheap even when the whole fleet is cold (10k+ workers).
 #[derive(Clone, Debug, Default)]
-pub struct WorkerTable {
+pub struct WorkerTable<T = ()> {
     /// Worker records indexed by id. Ids are handed out densely and never
-    /// reused, so the slab gives O(1) lookups on the dispatch hot path;
-    /// a disconnected worker leaves a one-pointer-wide vacant slot.
-    workers: Vec<Option<SimWorker>>,
+    /// reused, so the slab gives O(1) lookups on the dispatch hot path.
+    /// Rows are boxed: a disconnected worker leaves a one-pointer-wide
+    /// vacant slot, however large the payload.
+    workers: Vec<Option<Box<SimWorker<T>>>>,
     /// Hot-cache workers with at least one free slot.
     free_hot: IdBitSet,
     /// Cold-cache workers with at least one free slot.
@@ -112,46 +117,57 @@ pub struct WorkerTable {
 }
 
 impl WorkerTable {
-    /// Empty table.
+    /// Empty table with no per-worker payload.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Register a connecting worker; returns its id.
+impl<T: Default> WorkerTable<T> {
+    /// Register a connecting worker with a default payload; returns its
+    /// id.
     pub fn connect(&mut self, cores: u32, foreman: usize, at: SimTime) -> u64 {
         assert!(cores >= 1);
         let id = self.workers.len() as u64;
-        self.workers.push(Some(SimWorker {
+        self.workers.push(Some(Box::new(SimWorker {
             id,
             cores,
             busy: 0,
             cache_hot: false,
             connected_at: at,
             foreman,
-        }));
+            payload: T::default(),
+        })));
         self.connected += 1;
         self.free_cold.insert(id);
         id
     }
 
-    /// Remove a worker (eviction/retirement). Returns its record.
-    pub fn disconnect(&mut self, id: u64) -> Option<SimWorker> {
+    /// Remove a worker (eviction/retirement). Returns its record, payload
+    /// included.
+    pub fn disconnect(&mut self, id: u64) -> Option<SimWorker<T>> {
         self.free_hot.remove(id);
         self.free_cold.remove(id);
         let w = self.workers.get_mut(id as usize)?.take();
         if w.is_some() {
             self.connected -= 1;
         }
-        w
+        w.map(|b| *b)
     }
 
     /// Look up a worker.
-    pub fn get(&self, id: u64) -> Option<&SimWorker> {
-        self.workers.get(id as usize)?.as_ref()
+    pub fn get(&self, id: u64) -> Option<&SimWorker<T>> {
+        self.workers.get(id as usize)?.as_deref()
     }
 
-    fn get_mut(&mut self, id: u64) -> Option<&mut SimWorker> {
-        self.workers.get_mut(id as usize)?.as_mut()
+    fn get_mut(&mut self, id: u64) -> Option<&mut SimWorker<T>> {
+        self.workers.get_mut(id as usize)?.as_deref_mut()
+    }
+
+    /// A connected worker's payload. Slot and cache state change only
+    /// through the table, which keeps the free index in step.
+    pub fn payload_mut(&mut self, id: u64) -> Option<&mut T> {
+        self.get_mut(id).map(|w| &mut w.payload)
     }
 
     /// Mark a worker's cache hot (first environment setup finished).
@@ -216,8 +232,8 @@ impl WorkerTable {
     }
 
     /// Iterate workers in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &SimWorker> {
-        self.workers.iter().flatten()
+    pub fn iter(&self) -> impl Iterator<Item = &SimWorker<T>> {
+        self.workers.iter().flatten().map(|w| &**w)
     }
 
     /// The youngest connected worker: the highest id, since ids are
