@@ -108,8 +108,21 @@ pub struct ScenarioRunner {
     root: PathBuf,
 }
 
-fn cleanup(path: &Path) {
-    std::fs::remove_dir_all(path).ok();
+/// A journal directory, emptied when made and removed when dropped, so
+/// every return path cleans up after itself.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(path: PathBuf) -> Self {
+        std::fs::remove_dir_all(&path).ok();
+        Scratch(path)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
 }
 
 impl ScenarioRunner {
@@ -136,6 +149,34 @@ impl ScenarioRunner {
         })
     }
 
+    /// Replay the journal at `dir` cold and check that it accounts each of
+    /// `total` tasklets exactly once, done or dead-lettered, with no task
+    /// left in flight; a violation is reported as `invariant` of `who`.
+    /// Returns the done and dead tasklets and the outputs outside any
+    /// merged file.
+    fn audit(
+        sc: &Scenario,
+        invariant: &'static str,
+        who: &str,
+        dir: &Path,
+        total: u64,
+    ) -> Result<(u64, u64, usize), ConformanceError> {
+        let db = LobsterDb::recover(dir)?;
+        let (done, dead) = (db.total_done_tasklets(), db.total_dead_tasklets());
+        let in_flight = db.running_tasks().len();
+        if done + dead != total || in_flight != 0 {
+            return Self::invariant(
+                sc,
+                invariant,
+                format!(
+                    "{who}: cold replay has done {done} + dead {dead} of {total} tasklets, \
+                     {in_flight} task(s) in flight"
+                ),
+            );
+        }
+        Ok((done, dead, db.merge_backlog()))
+    }
+
     /// Run `sc` and check all four invariants, returning the conformance
     /// record of the reference run.
     pub fn conformance(&self, sc: &Scenario) -> Result<ConformanceReport, ConformanceError> {
@@ -160,15 +201,13 @@ impl ScenarioRunner {
 
         // Reference durable run: invariants 1 (no hang) and 2
         // (conservation, via a cold journal replay).
-        let ref_path = self.root.join(format!("{}-ref", sc.name));
-        cleanup(&ref_path);
-        let mut session = Session::start(ClusterSim::durable(cfg, params, workflows, &ref_path)?);
+        let ref_path = Scratch::new(self.root.join(format!("{}-ref", sc.name)));
+        let mut session = Session::start(ClusterSim::durable(cfg, params, workflows, &ref_path.0)?);
         session.advance(session.horizon(), u64::MAX);
         let reference = session.finish();
         let finished_at = match reference.finished_at {
             Some(t) => t,
             None => {
-                cleanup(&ref_path);
                 return Self::invariant(
                     sc,
                     "no-hang",
@@ -180,49 +219,22 @@ impl ScenarioRunner {
                 );
             }
         };
-        let db = LobsterDb::recover(&ref_path)?;
-        let done_tasklets = db.total_done_tasklets();
-        let dead_tasklets = db.total_dead_tasklets();
-        if done_tasklets + dead_tasklets != total_tasklets {
-            cleanup(&ref_path);
-            return Self::invariant(
-                sc,
-                "conservation",
-                format!("done {done_tasklets} + dead {dead_tasklets} != total {total_tasklets}"),
-            );
-        }
-        if !db.running_tasks().is_empty() {
-            cleanup(&ref_path);
-            return Self::invariant(
-                sc,
-                "conservation",
-                format!(
-                    "{} task(s) left in flight after drain",
-                    db.running_tasks().len()
-                ),
-            );
-        }
-        let unmerged = db.merge_backlog();
+        let (done_tasklets, dead_tasklets, unmerged) =
+            Self::audit(sc, "conservation", "reference", &ref_path.0, total_tasklets)?;
         if reference.dead_letters.is_empty() && unmerged > 0 {
-            cleanup(&ref_path);
             return Self::invariant(
                 sc,
                 "conservation",
                 format!("{unmerged} output(s) outside any merged file in a dead-letter-free run"),
             );
         }
-        drop(db);
-        cleanup(&ref_path);
+        drop(ref_path);
 
         // Invariant 3: an independent in-memory run serialises to the
         // byte-identical trace (same-seed determinism + journaling
         // non-perturbation in one comparison).
-        let Compiled {
-            cfg,
-            params,
-            workflows,
-        } = compile(sc)?;
-        let memory = ClusterSim::run(cfg, params, workflows);
+        let c = compile(sc)?;
+        let memory = ClusterSim::run(c.cfg, c.params, c.workflows);
         let (ref_bytes, mem_bytes) = (run_trace(&reference), run_trace(&memory));
         let (ref_digest, mem_digest) = (fnv1a(&ref_bytes), fnv1a(&mem_bytes));
         if ref_bytes != mem_bytes {
@@ -235,19 +247,14 @@ impl ScenarioRunner {
 
         // Invariant 4: crash halfway through the event stream, resume from
         // the journal, converge with the uninterrupted reference.
-        let crash_path = self.root.join(format!("{}-crash", sc.name));
-        cleanup(&crash_path);
+        let crash_path = Scratch::new(self.root.join(format!("{}-crash", sc.name)));
         let budget = (reference.events_delivered / 2).max(1);
-        let Compiled {
-            cfg,
-            params,
-            workflows,
-        } = compile(sc)?;
-        let mut session = Session::start(ClusterSim::durable(cfg, params, workflows, &crash_path)?);
+        let c = compile(sc)?;
+        let sim = ClusterSim::durable(c.cfg, c.params, c.workflows, &crash_path.0)?;
+        let mut session = Session::start(sim);
         let stop = session.advance(session.horizon(), budget);
         session.crash(CrashSite::CommitBoundary);
         if stop != Stop::Budget {
-            cleanup(&crash_path);
             return Self::invariant(
                 sc,
                 "crash-resume",
@@ -257,16 +264,12 @@ impl ScenarioRunner {
                 ),
             );
         }
-        let Compiled {
-            cfg,
-            params,
-            workflows,
-        } = compile(sc)?;
-        let mut session = Session::start(ClusterSim::resume(cfg, params, workflows, &crash_path)?);
+        let c = compile(sc)?;
+        let sim = ClusterSim::resume(c.cfg, c.params, c.workflows, &crash_path.0)?;
+        let mut session = Session::start(sim);
         session.advance(session.horizon(), u64::MAX);
         let resumed = session.finish();
         if resumed.finished_at.is_none() {
-            cleanup(&crash_path);
             return Self::invariant(sc, "crash-resume", "resumed run never finished".to_string());
         }
         // A resumed run's *timing* legitimately diverges (the clock restarts
@@ -280,7 +283,6 @@ impl ScenarioRunner {
             && resumed.dead_letters.is_empty()
             && merged(&resumed) != merged(&reference)
         {
-            cleanup(&crash_path);
             return Self::invariant(
                 sc,
                 "crash-resume",
@@ -292,22 +294,7 @@ impl ScenarioRunner {
                 ),
             );
         }
-        let db = LobsterDb::recover(&crash_path)?;
-        let done = db.total_done_tasklets();
-        let dead = db.total_dead_tasklets();
-        let in_flight = db.running_tasks().len();
-        drop(db);
-        cleanup(&crash_path);
-        if done + dead != total_tasklets || in_flight != 0 {
-            return Self::invariant(
-                sc,
-                "crash-resume",
-                format!(
-                    "post-resume audit: done {done} + dead {dead} != total {total_tasklets}, \
-                     or {in_flight} task(s) in flight"
-                ),
-            );
-        }
+        Self::audit(sc, "crash-resume", "resumed", &crash_path.0, total_tasklets)?;
 
         let snapshot =
             lobster::ops::snapshot_from_run(&sc.name, &snap_cfg, &snap_params, &reference);
@@ -354,15 +341,13 @@ impl ScenarioRunner {
         let per_tenant_tasklets: u64 = roster[0].workflows.iter().map(|w| w.n_tasklets()).sum();
 
         // Invariants 1 + 2 on the durable reference run.
-        let ref_root = self.root.join(format!("{}-mt-ref", sc.name));
-        cleanup(&ref_root);
-        let reference = tenancy::MultiTenant::durable(coord, roster, &ref_root)
+        let ref_root = Scratch::new(self.root.join(format!("{}-mt-ref", sc.name)));
+        let reference = tenancy::MultiTenant::durable(coord, roster, &ref_root.0)
             .map_err(tenancy_err)?
             .run()
             .map_err(tenancy_err)?;
         for t in &reference.tenants {
             if t.report.finished_at.is_none() {
-                cleanup(&ref_root);
                 return Self::invariant(
                     sc,
                     "no-hang",
@@ -375,25 +360,11 @@ impl ScenarioRunner {
             }
         }
         for (i, t) in reference.tenants.iter().enumerate() {
-            let dir = tenancy::journal_dir(&ref_root, i, &t.name);
-            let db = LobsterDb::recover(&dir)?;
-            let done = db.total_done_tasklets();
-            let dead = db.total_dead_tasklets();
-            let in_flight = db.running_tasks().len();
-            if done + dead != per_tenant_tasklets || in_flight != 0 {
-                cleanup(&ref_root);
-                return Self::invariant(
-                    sc,
-                    "conservation",
-                    format!(
-                        "tenant {}: done {done} + dead {dead} != total \
-                         {per_tenant_tasklets}, or {in_flight} in flight",
-                        t.name
-                    ),
-                );
-            }
+            let dir = tenancy::journal_dir(&ref_root.0, i, &t.name);
+            let who = format!("tenant {}", t.name);
+            Self::audit(sc, "conservation", &who, &dir, per_tenant_tasklets)?;
         }
-        cleanup(&ref_root);
+        drop(ref_root);
 
         // Invariant 3: in-memory run, byte-identical observables.
         let (coord, roster) = compile_multitenant(sc)?;
@@ -426,16 +397,14 @@ impl ScenarioRunner {
         }
 
         // Invariant 4: crash tenant 0 mid-run and resume from its journal.
-        let crash_root = self.root.join(format!("{}-mt-crash", sc.name));
-        cleanup(&crash_root);
+        let crash_root = Scratch::new(self.root.join(format!("{}-mt-crash", sc.name)));
         let budget = (reference.tenants[0].report.events_delivered / 2).max(1);
         let (coord, roster) = compile_multitenant(sc)?;
         let mut mt =
-            tenancy::MultiTenant::durable(coord, roster, &crash_root).map_err(tenancy_err)?;
+            tenancy::MultiTenant::durable(coord, roster, &crash_root.0).map_err(tenancy_err)?;
         mt.crash_tenant(0, budget).map_err(tenancy_err)?;
         let crashed = mt.run().map_err(tenancy_err)?;
         if crashed.crash_round.is_none() {
-            cleanup(&crash_root);
             return Self::invariant(
                 sc,
                 "crash-resume",
@@ -444,30 +413,15 @@ impl ScenarioRunner {
         }
         let victim = &crashed.tenants[0];
         if victim.report.finished_at.is_none() {
-            cleanup(&crash_root);
             return Self::invariant(
                 sc,
                 "crash-resume",
                 "victim never drained after resume".to_string(),
             );
         }
-        let dir = tenancy::journal_dir(&crash_root, 0, &victim.name);
-        let db = LobsterDb::recover(&dir)?;
-        let done = db.total_done_tasklets();
-        let dead = db.total_dead_tasklets();
-        let in_flight = db.running_tasks().len();
-        drop(db);
-        cleanup(&crash_root);
-        if done + dead != per_tenant_tasklets || in_flight != 0 {
-            return Self::invariant(
-                sc,
-                "crash-resume",
-                format!(
-                    "post-resume audit: done {done} + dead {dead} != total \
-                     {per_tenant_tasklets}, or {in_flight} in flight"
-                ),
-            );
-        }
+        let dir = tenancy::journal_dir(&crash_root.0, 0, &victim.name);
+        let who = format!("resumed tenant {}", victim.name);
+        Self::audit(sc, "crash-resume", &who, &dir, per_tenant_tasklets)?;
 
         let tenants = reference
             .tenants
