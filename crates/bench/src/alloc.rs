@@ -2,8 +2,8 @@
 //! allocator. A bench binary installs it with
 //! `#[global_allocator] static ALLOC: CountingAlloc = CountingAlloc;`.
 //!
-//! `current` tracks live bytes and `peak` their high-water mark. The peak
-//! is the benches' RSS proxy: it moves with the same data structures
+//! It tracks live bytes and their high-water mark; [`measure`] reads a
+//! closure's peak from them. The peak is the benches' RSS proxy: it moves with the same data structures
 //! (event queue, worker table, task ledger) that drive resident memory,
 //! without depending on the platform's RSS accounting.
 
@@ -50,19 +50,17 @@ pub fn set_counting(on: bool) {
     COUNTING.store(on, Ordering::Relaxed);
 }
 
-/// Reset the high-water mark to the current live size (call between
-/// sweep points so each point reports its own peak).
-pub fn reset_peak() {
-    PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// The high-water mark of counted live heap bytes since the last
-/// [`reset_peak`]. Zero unless the binary installed [`CountingAlloc`].
-pub fn peak() -> u64 {
-    PEAK.load(Ordering::Relaxed).max(0) as u64
-}
-
-/// The counted live heap bytes now.
-pub fn current() -> u64 {
-    CURRENT.load(Ordering::Relaxed).max(0) as u64
+/// Run `f` with counting on and return its result with its peak heap:
+/// the most it allocated and still held at once, as growth over the live
+/// heap at its start, so what the caller already holds (earlier points'
+/// results, a baseline) is in no peak. Counting is left as it was found.
+/// Zero unless the binary installed [`CountingAlloc`].
+pub fn measure<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let was = COUNTING.swap(true, Ordering::Relaxed);
+    let start = CURRENT.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    let out = f();
+    let peak = (PEAK.load(Ordering::Relaxed) - start).max(0) as u64;
+    COUNTING.store(was, Ordering::Relaxed);
+    (out, peak)
 }

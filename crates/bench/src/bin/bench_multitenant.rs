@@ -124,14 +124,11 @@ fn main() {
             }
         }
         let report = report.expect("REPEATS >= 1");
-        alloc::set_counting(true);
-        alloc::reset_peak();
-        let before = alloc::current();
-        let roster: Vec<TenantSpec> = (0..n).map(tenant).collect();
-        let single = MultiTenant::new(coordinator(), roster).expect("valid roster");
-        drop(single.single_threaded().run().expect("in-memory run"));
-        let peak_alloc_bytes = alloc::peak() - before;
-        alloc::set_counting(false);
+        let ((), peak_alloc_bytes) = alloc::measure(|| {
+            let roster: Vec<TenantSpec> = (0..n).map(tenant).collect();
+            let single = MultiTenant::new(coordinator(), roster).expect("valid roster");
+            drop(single.single_threaded().run().expect("in-memory run"));
+        });
 
         for t in &report.tenants {
             if t.report.finished_at.is_none() {
@@ -186,7 +183,6 @@ fn main() {
     println!("{json}");
     println!("wrote {}", out_path.display());
 
-    // Read only now, so the baseline's own heap is in no point's peak.
     let mut gate = Gate::new("bench_multitenant");
     let baseline: Option<MultiTenantBench> = gate.baseline("BENCH_multitenant.json");
 

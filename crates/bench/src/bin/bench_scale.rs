@@ -8,7 +8,8 @@
 //! part of the measured event stream.
 //!
 //! For every sweep point it records events/sec, wall time, and a peak-RSS
-//! proxy from a counting global allocator. Results go to
+//! proxy from a counting global allocator ([`alloc::measure`]: the live
+//! heap's growth over the point's start). Results go to
 //! `target/bench/BENCH_scale.json`; the committed `BENCH_scale.json` is
 //! the baseline, read back as a [`ScaleBench`] through
 //! [`lobster_bench::gate`]. The run fails (exit 1) on any sweep point
@@ -125,11 +126,9 @@ fn main() {
         let (cfg, params, wfs) = setup(cores);
         let workers = cfg.workers.target_cores / cfg.workers.cores_per_worker;
         let tasklets: u64 = wfs.iter().map(|w| w.n_tasklets()).sum();
-        alloc::reset_peak();
         let started = std::time::Instant::now();
-        let report = ClusterSim::run(cfg, params, wfs);
+        let (report, peak_alloc_bytes) = alloc::measure(|| ClusterSim::run(cfg, params, wfs));
         let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
-        let peak_alloc_bytes = alloc::peak();
 
         if report.finished_at.is_none() {
             eprintln!("bench_scale: {cores}-core sweep point did not finish: {report:?}");
@@ -169,7 +168,6 @@ fn main() {
     println!("{json}");
     println!("wrote {}", out_path.display());
 
-    // Read only now, so the baseline's own heap is in no point's peak.
     let mut gate = Gate::new("bench_scale");
     let baseline: Option<ScaleBench> = gate.baseline("BENCH_scale.json");
     for old in baseline.iter().flat_map(|b| &b.points) {
