@@ -410,6 +410,19 @@ mod tests {
     }
 
     #[test]
+    fn disconnect_hands_back_the_payload() {
+        let mut t: WorkerTable<Vec<u32>> = WorkerTable::default();
+        let a = t.connect(2, 0, SimTime::ZERO);
+        let b = t.connect(2, 0, SimTime::ZERO);
+        t.payload_mut(a).expect("connected").push(7);
+        t.payload_mut(b).expect("connected").push(9);
+        let w = t.disconnect(a).expect("present");
+        assert_eq!((w.id, w.payload), (a, vec![7]));
+        assert!(t.payload_mut(a).is_none(), "a left");
+        assert_eq!(t.get(b).map(|w| w.payload.clone()), Some(vec![9]));
+    }
+
+    #[test]
     fn release_after_disconnect_is_noop() {
         let mut t = WorkerTable::new();
         let a = t.connect(1, 0, SimTime::ZERO);
