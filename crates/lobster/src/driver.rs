@@ -1386,16 +1386,18 @@ impl ClusterSim {
     }
 
     fn on_stage_out_done(&mut self, id: TaskId, attempt: u32, ctx: &mut Ctx<Ev>) {
-        let Some(t) = self.tasks.get_mut(id) else {
-            return;
-        };
-        if t.phase != Phase::StageOut || t.attempt != attempt {
-            return;
+        {
+            let Some(t) = self.tasks.get_mut(id) else {
+                return;
+            };
+            if t.phase != Phase::StageOut || t.attempt != attempt {
+                return;
+            }
+            t.phase = Phase::Collect;
+            t.times.wq_stage_out = self.params.wq_collect;
+            t.disarm(ctx);
         }
-        t.phase = Phase::Collect;
-        t.times.wq_stage_out = self.params.wq_collect;
         ctx.schedule(self.params.wq_collect, Ev::CollectDone(id, attempt));
-        t.disarm(ctx);
     }
 
     fn on_collect_done(&mut self, id: TaskId, attempt: u32, ctx: &mut Ctx<Ev>) {
@@ -1493,7 +1495,8 @@ impl ClusterSim {
         }
     }
 
-    fn on_hadoop_group_done(&mut self, gi: usize, now: SimTime) {
+    fn on_hadoop_group_done(&mut self, gi: usize, ctx: &mut Ctx<Ev>) {
+        let now = ctx.now();
         // Each group completes exactly once; take it instead of cloning.
         let group = std::mem::take(&mut self.hadoop_groups[gi]);
         let ids: Vec<TaskId> = group.inputs.iter().map(|i| i.0).collect();
@@ -1506,6 +1509,7 @@ impl ClusterSim {
         }
         self.monitor.mark_merge(now);
         self.check_finished(now);
+        let _ = ctx;
     }
 
     // ----- failure & eviction ------------------------------------------------
@@ -1871,7 +1875,7 @@ impl Model for ClusterSim {
             Ev::ExecDone(id, a) => self.on_exec_done(id, a, ctx),
             Ev::StageOutDone(id, a) => self.on_stage_out_done(id, a, ctx),
             Ev::CollectDone(id, a) => self.on_collect_done(id, a, ctx),
-            Ev::HadoopGroupDone(g) => self.on_hadoop_group_done(g, ctx.now()),
+            Ev::HadoopGroupDone(g) => self.on_hadoop_group_done(g, ctx),
             Ev::SlotFree(worker) => {
                 self.table.release_slot(worker);
                 self.dispatch(ctx);

@@ -233,8 +233,12 @@ impl ScenarioRunner {
         // Invariant 3: an independent in-memory run serialises to the
         // byte-identical trace (same-seed determinism + journaling
         // non-perturbation in one comparison).
-        let c = compile(sc)?;
-        let memory = ClusterSim::run(c.cfg, c.params, c.workflows);
+        let Compiled {
+            cfg,
+            params,
+            workflows,
+        } = compile(sc)?;
+        let memory = ClusterSim::run(cfg, params, workflows);
         let (ref_bytes, mem_bytes) = (run_trace(&reference), run_trace(&memory));
         let (ref_digest, mem_digest) = (fnv1a(&ref_bytes), fnv1a(&mem_bytes));
         if ref_bytes != mem_bytes {
@@ -249,9 +253,13 @@ impl ScenarioRunner {
         // the journal, converge with the uninterrupted reference.
         let crash_path = Scratch::new(self.root.join(format!("{}-crash", sc.name)));
         let budget = (reference.events_delivered / 2).max(1);
-        let c = compile(sc)?;
-        let sim = ClusterSim::durable(c.cfg, c.params, c.workflows, &crash_path.0)?;
-        let mut session = Session::start(sim);
+        let Compiled {
+            cfg,
+            params,
+            workflows,
+        } = compile(sc)?;
+        let mut session =
+            Session::start(ClusterSim::durable(cfg, params, workflows, &crash_path.0)?);
         let stop = session.advance(session.horizon(), budget);
         session.crash(CrashSite::CommitBoundary);
         if stop != Stop::Budget {
@@ -264,9 +272,13 @@ impl ScenarioRunner {
                 ),
             );
         }
-        let c = compile(sc)?;
-        let sim = ClusterSim::resume(c.cfg, c.params, c.workflows, &crash_path.0)?;
-        let mut session = Session::start(sim);
+        let Compiled {
+            cfg,
+            params,
+            workflows,
+        } = compile(sc)?;
+        let mut session =
+            Session::start(ClusterSim::resume(cfg, params, workflows, &crash_path.0)?);
         session.advance(session.horizon(), u64::MAX);
         let resumed = session.finish();
         if resumed.finished_at.is_none() {
