@@ -125,7 +125,7 @@ impl Default for SimParams {
 }
 
 /// Driver events.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum Ev {
     /// Kick-off: decompose workflows, start provisioning chains.
     Start,
@@ -623,7 +623,7 @@ impl ClusterSim {
             panic!("invalid fault plan: {e}");
         }
         let squids = (0..n_squids)
-            .map(|i| Site::new(Squid::new(params.squid), Ev::SquidWake, i))
+            .map(|i| Site::new(Squid::new(params.squid), Ev::SquidWake(i)))
             .collect();
         let fed = Federation::new(FederationConfig {
             wan_bandwidth: simnet::units::gbit_per_s(cfg.infra.wan_gbits),
@@ -669,7 +669,7 @@ impl ClusterSim {
             analysis_units,
             foremen,
             squids,
-            fed: Site::new(fed, |_| Ev::FedWake, 0),
+            fed: Site::new(fed, Ev::FedWake),
             chirp,
             catalog,
             planner,

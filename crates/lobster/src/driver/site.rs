@@ -28,38 +28,33 @@ pub(super) trait Link {
     fn abort(&mut self, now: SimTime, flow: FlowId) -> Option<u64>;
 }
 
-impl Link for Squid {
-    fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
-        Squid::next_completion(self)
-    }
-    fn completions_into(&mut self, now: SimTime, out: &mut Vec<FlowId>) {
-        Squid::completions_into(self, now, out)
-    }
-    fn abort(&mut self, now: SimTime, flow: FlowId) -> Option<u64> {
-        Squid::abort(self, now, flow)
-    }
+/// `Squid` and `Federation` provide the link operations as inherent
+/// methods of the same names.
+macro_rules! link_by_inherent_methods {
+    ($($ty:ident),*) => {$(
+        impl Link for $ty {
+            fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
+                $ty::next_completion(self)
+            }
+            fn completions_into(&mut self, now: SimTime, out: &mut Vec<FlowId>) {
+                $ty::completions_into(self, now, out)
+            }
+            fn abort(&mut self, now: SimTime, flow: FlowId) -> Option<u64> {
+                $ty::abort(self, now, flow)
+            }
+        }
+    )*};
 }
 
-impl Link for Federation {
-    fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
-        Federation::next_completion(self)
-    }
-    fn completions_into(&mut self, now: SimTime, out: &mut Vec<FlowId>) {
-        Federation::completions_into(self, now, out)
-    }
-    fn abort(&mut self, now: SimTime, flow: FlowId) -> Option<u64> {
-        Federation::abort(self, now, flow)
-    }
-}
+link_by_inherent_methods!(Squid, Federation);
 
 /// One shared transfer point.
 pub(super) struct Site<L> {
     link: L,
     /// The pending wake: its instant and event.
     wake: Option<(SimTime, EventId)>,
-    /// The wake event, built from `index`.
-    wake_ev: fn(usize) -> Ev,
-    index: usize,
+    /// The event that wakes the site.
+    wake_ev: Ev,
     owners: BTreeMap<FlowId, Owner>,
     /// Reused drain buffer: a wake fires per predicted completion, so
     /// draining stays allocation-free.
@@ -67,13 +62,12 @@ pub(super) struct Site<L> {
 }
 
 impl<L: Link> Site<L> {
-    /// A site over `link`, woken by `wake_ev(index)`.
-    pub(super) fn new(link: L, wake_ev: fn(usize) -> Ev, index: usize) -> Self {
+    /// A site over `link`, woken by `wake_ev`.
+    pub(super) fn new(link: L, wake_ev: Ev) -> Self {
         Site {
             link,
             wake: None,
             wake_ev,
-            index,
             owners: BTreeMap::new(),
             done: Vec::new(),
         }
@@ -90,7 +84,7 @@ impl<L: Link> Site<L> {
             ctx.cancel(ev);
         }
         if let Some((when, _)) = self.link.next_completion() {
-            self.wake = Some((when, ctx.schedule_at(when, (self.wake_ev)(self.index))));
+            self.wake = Some((when, ctx.schedule_at(when, self.wake_ev.clone())));
         }
     }
 

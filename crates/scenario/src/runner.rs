@@ -251,15 +251,14 @@ impl ScenarioRunner {
 
         // Invariant 4: crash halfway through the event stream, resume from
         // the journal, converge with the uninterrupted reference.
-        let crash_path = Scratch::new(self.root.join(format!("{}-crash", sc.name)));
+        let crash = Scratch::new(self.root.join(format!("{}-crash", sc.name)));
         let budget = (reference.events_delivered / 2).max(1);
         let Compiled {
             cfg,
             params,
             workflows,
         } = compile(sc)?;
-        let mut session =
-            Session::start(ClusterSim::durable(cfg, params, workflows, &crash_path.0)?);
+        let mut session = Session::start(ClusterSim::durable(cfg, params, workflows, &crash.0)?);
         let stop = session.advance(session.horizon(), budget);
         session.crash(CrashSite::CommitBoundary);
         if stop != Stop::Budget {
@@ -277,8 +276,7 @@ impl ScenarioRunner {
             params,
             workflows,
         } = compile(sc)?;
-        let mut session =
-            Session::start(ClusterSim::resume(cfg, params, workflows, &crash_path.0)?);
+        let mut session = Session::start(ClusterSim::resume(cfg, params, workflows, &crash.0)?);
         session.advance(session.horizon(), u64::MAX);
         let resumed = session.finish();
         if resumed.finished_at.is_none() {
@@ -306,7 +304,7 @@ impl ScenarioRunner {
                 ),
             );
         }
-        Self::audit(sc, "crash-resume", "resumed", &crash_path.0, total_tasklets)?;
+        Self::audit(sc, "crash-resume", "resumed", &crash.0, total_tasklets)?;
 
         let snapshot =
             lobster::ops::snapshot_from_run(&sc.name, &snap_cfg, &snap_params, &reference);
